@@ -38,6 +38,13 @@ def _seed(value: str) -> int:
     return seed
 
 
+def _threshold(value: str) -> float:
+    threshold = float(value)
+    if not np.isfinite(threshold):
+        raise argparse.ArgumentTypeError(f"threshold must be a finite number, got {value}")
+    return threshold
+
+
 def _index_list(value: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in value.split(",") if v.strip() != "")
@@ -212,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--k", type=int, default=None, help="complement size for greedy-k/exact")
     select.add_argument("--L", type=int, default=10, help="projection angles per feature pair")
     select.add_argument("--seed", type=_seed, required=True)
-    select.add_argument("--threshold", type=float, default=None)
+    select.add_argument("--threshold", type=_threshold, default=None)
     select.add_argument("--out", required=True)
     select.add_argument("--format", choices=("json", "csv"), default="json")
     select.add_argument("--jobs", type=int, default=1)

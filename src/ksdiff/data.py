@@ -127,7 +127,10 @@ def standardize(ds: Dataset) -> Dataset:
 
 
 def load_dataset_csv(path) -> Dataset:
-    """Read a dataset CSV: header row of names, one row of decimals per sample."""
+    """Read a dataset CSV: header row of names, one row of decimals per sample.
+
+    Errors name the first defect in file order, with its line number.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -135,27 +138,37 @@ def load_dataset_csv(path) -> Dataset:
         except StopIteration:
             raise DataValidationError(f"{path}: empty file") from None
         names = [h.strip() for h in header]
-        rows = []
+        rows, linenos = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(names):
+                _check_finite_rows(path, names, rows, linenos)
                 raise DataValidationError(
                     f"{path}: line {lineno}: expected {len(names)} values, got {len(row)}"
                 )
             try:
-                parsed = [float(v) for v in row]
+                rows.append(list(map(float, row)))
             except ValueError:
+                _check_finite_rows(path, names, rows, linenos)
                 raise DataValidationError(f"{path}: line {lineno}: non-numeric value") from None
-            for col, v in enumerate(parsed):
-                if not np.isfinite(v):
-                    raise DataValidationError(
-                        f"{path}: line {lineno}: non-finite value in column {names[col]!r}"
-                    )
-            rows.append(parsed)
+            linenos.append(lineno)
     if not rows:
         raise DataValidationError(f"{path}: no data rows")
-    return Dataset(tuple(names), np.asarray(rows, dtype=np.float64))
+    values = _check_finite_rows(path, names, rows, linenos)
+    return Dataset(tuple(names), values)
+
+
+def _check_finite_rows(path, names, rows, linenos) -> np.ndarray:
+    """Stack parsed rows, rejecting the first non-finite value in file order."""
+    values = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        raise DataValidationError(
+            f"{path}: line {linenos[r]}: non-finite value in column {names[c]!r}"
+        )
+    return values
 
 
 def save_dataset_csv(ds: Dataset, path) -> None:

@@ -8,6 +8,13 @@ a single merged scan of the two sorted samples. For a feature pair, the
 two-dimensional difference is measured by projecting the pair onto random
 directions ``x_i*cos(t) + x_j*sin(t)`` with t uniform on [0, pi) and
 averaging the 1-D statistic over the drawn angles.
+
+The kernel works in row layout: each instance is one contiguous row of a
+(K, N+M) pooled array, sample a in the first N columns. Projections are made
+in that layout, so pooling them copies whole rows instead of transposing. A
+gap between the EDFs is only valid at the end of a run of equal values, and
+the mask that zeroes the other positions is needed only in rows whose largest
+gap sits at such a position: zeroing gaps cannot lower a maximum at a run end.
 """
 
 from __future__ import annotations
@@ -32,23 +39,51 @@ def _ks_merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Column-wise two-sample KS via a merged scan of both sorted samples.
 
     ``a`` is (N, K), ``b`` is (M, K); column k of each holds one instance.
-    After sorting the pooled column, the running per-sample counts give both
-    EDFs; the gap is only a valid EDF difference at the end of each run of
-    equal values, so positions followed by an equal value are masked out.
+    Both are copied into one C-contiguous (K, N+M) row-layout array, sample a
+    first; when they are transposed views of row-layout arrays (as the
+    projections are) the copy moves whole rows. After sorting each row, the
+    running per-sample counts give both EDFs. A gap is only a valid EDF
+    difference at the end of a run of equal values, so positions followed by
+    an equal value are masked out, but only in rows whose argmax is such a
+    position: elsewhere the argmax is a run end, and masking, which only
+    zeroes gaps, leaves that maximum unchanged. The last position of a row is
+    always a run end.
     """
     n, m = a.shape[0], b.shape[0]
-    # transpose to one instance per contiguous row; any sort order within a
-    # run of equal values yields the same run-end counts, so the default
-    # (unstable) argsort is safe
-    pooled = np.ascontiguousarray(np.concatenate([a, b], axis=0).T)
+    k, total = a.shape[1], n + m
+    # the three (K, N+M) float arrays share one allocation and are filled in
+    # place: the allocator keeps one block this large for the next call, while
+    # three separate arrays are returned to the OS and page-faulted back in
+    # on every call
+    pooled, count_b, gaps = np.empty((3, k, total))
+    pooled[:, :n] = a.T
+    pooled[:, n:] = b.T
+    # any sort order within a run of equal values yields the same run-end
+    # counts, so the default (unstable) argsort is safe
     order = np.argsort(pooled, axis=1)
-    from_b = order >= n
-    count_b = np.cumsum(from_b, axis=1, dtype=np.int32)
-    count_a = np.arange(1, n + m + 1, dtype=np.int32)[None, :] - count_b
-    gaps = np.abs(count_a / n - count_b / m)
-    ranked = np.take_along_axis(pooled, order, axis=1)
-    gaps[:, :-1][ranked[:, 1:] == ranked[:, :-1]] = 0.0
-    return gaps.max(axis=1)
+    # counts are integers, exact in float64 below 2**53; the gaps are formed
+    # with the same two divisions as |count_a/n - count_b/m|
+    np.greater_equal(order, n, out=count_b)
+    np.cumsum(count_b, axis=1, out=count_b)
+    np.subtract(np.arange(1, total + 1, dtype=np.float64), count_b, out=gaps)
+    gaps /= n
+    count_b /= m
+    gaps -= count_b
+    np.abs(gaps, out=gaps)
+
+    rows = np.arange(k)
+    top = gaps.argmax(axis=1)
+    best = gaps[rows, top]
+    after = np.minimum(top + 1, total - 1)
+    tied = np.flatnonzero(
+        (top < total - 1) & (pooled[rows, order[rows, top]] == pooled[rows, order[rows, after]])
+    )
+    if tied.size:
+        ranked = np.take_along_axis(pooled[tied], order[tied], axis=1)
+        masked = gaps[tied]
+        masked[:, :-1][ranked[:, 1:] == ranked[:, :-1]] = 0.0
+        best[tied] = masked.max(axis=1)
+    return best
 
 
 def ks_empirical(p, q) -> float:
@@ -124,13 +159,30 @@ def project_pair(ds: Dataset, i: int, j: int, theta: float) -> Sample1D:
     return Sample1D(ds.values[:, i] * np.cos(theta) + ds.values[:, j] * np.sin(theta))
 
 
+def _project_rows(
+    xt: np.ndarray, cols_i: np.ndarray, cols_j: np.ndarray, cos: np.ndarray, sin: np.ndarray
+) -> np.ndarray:
+    """Projections ``x_i*cos + x_j*sin`` of a (D, N) transposed sample, one per row.
+
+    ``cols_i``, ``cols_j``, ``cos`` and ``sin`` hold one entry per instance;
+    the result is a C-contiguous (K, N) array. The matrix build and the
+    projected KS functions both project here, so their projections agree bit
+    for bit.
+    """
+    rows = xt[cols_i]
+    rows *= cos[:, None]
+    other = xt[cols_j]
+    other *= sin[:, None]
+    rows += other
+    return rows
+
+
 def _projected_ks_values(p: Dataset, q: Dataset, i: int, j: int, angles: np.ndarray) -> np.ndarray:
-    # elementwise multiply-add (not a matmul) so every code path that projects
-    # produces bit-identical floats
+    cols_i, cols_j = np.full(angles.size, i), np.full(angles.size, j)
     cos, sin = np.cos(angles), np.sin(angles)
-    rp = p.values[:, i, None] * cos + p.values[:, j, None] * sin
-    rq = q.values[:, i, None] * cos + q.values[:, j, None] * sin
-    return _ks_merged(rp, rq)
+    rp = _project_rows(p.values.T, cols_i, cols_j, cos, sin)
+    rq = _project_rows(q.values.T, cols_i, cols_j, cos, sin)
+    return _ks_merged(rp.T, rq.T)
 
 
 def projected_ks(p: Dataset, q: Dataset, i: int, j: int, angles) -> float:

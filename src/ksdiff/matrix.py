@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset, _check_name
 from .errors import DataValidationError
-from .ks import ProjectionAngleSet, _ks_merged, ks_empirical_columns
+from .ks import ProjectionAngleSet, _ks_merged, _project_rows, ks_empirical_columns
 
 ANGLE_POLICIES = ("per-pair", "shared")
 
@@ -117,6 +117,9 @@ def build_ks_matrix(
     pairs = list(combinations(range(d), 2))
     step = _pairs_per_chunk(p.num_rows + q.num_rows, num_angles)
     chunks = [pairs[s : s + step] for s in range(0, len(pairs), step)]
+    # one feature per contiguous row, so each chunk projects straight into row layout
+    pt = np.ascontiguousarray(p.values.T)
+    qt = np.ascontiguousarray(q.values.T)
 
     def eval_chunk(chunk):
         angles = np.concatenate(
@@ -125,9 +128,9 @@ def build_ks_matrix(
         cols_i = np.repeat([i for i, _ in chunk], num_angles)
         cols_j = np.repeat([j for _, j in chunk], num_angles)
         cos, sin = np.cos(angles), np.sin(angles)
-        rp = p.values[:, cols_i] * cos + p.values[:, cols_j] * sin
-        rq = q.values[:, cols_i] * cos + q.values[:, cols_j] * sin
-        return _ks_merged(rp, rq).reshape(len(chunk), num_angles).mean(axis=1)
+        rp = _project_rows(pt, cols_i, cols_j, cos, sin)
+        rq = _project_rows(qt, cols_i, cols_j, cos, sin)
+        return _ks_merged(rp.T, rq.T).reshape(len(chunk), num_angles).mean(axis=1)
 
     if jobs == 1 or len(chunks) < 2:
         values = [eval_chunk(chunk) for chunk in chunks]

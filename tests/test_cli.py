@@ -95,6 +95,19 @@ class TestSelect:
         assert code == 0
         assert out.read_text().splitlines()[0] == "name,index,score,rank"
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold_exit_2(self, csv_pair, tmp_path, capsys, value):
+        p_path, q_path = csv_pair
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "select", "--p", p_path, "--q", q_path, "--seed", "9",
+                "--threshold", value, "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_greedy_k_reports_selection(self, csv_pair, tmp_path):
         p_path, q_path = csv_pair
         out = tmp_path / "r.json"

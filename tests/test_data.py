@@ -64,12 +64,14 @@ class TestDataset:
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        ds = dataset_from_array(rng.normal(size=(20, 4)) * 1e-7)
+        values = rng.normal(size=(20, 4)) * 1e-7
+        values[0] = [-0.0, 5e-324, np.finfo(np.float64).max, -1e300]
+        ds = dataset_from_array(values)
         path = tmp_path / "ds.csv"
         save_dataset_csv(ds, path)
         back = load_dataset_csv(path)
         assert back.names == ds.names
-        assert np.array_equal(back.values, ds.values)
+        assert back.values.tobytes() == ds.values.tobytes()
 
     def test_parse_error_has_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -88,6 +90,30 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n1.0\n")
         with pytest.raises(DataValidationError, match="expected 2 values"):
             load_dataset_csv(path)
+
+    def test_first_defect_in_file_order_is_reported(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n1.0,nan\n1.0\n")
+        with pytest.raises(DataValidationError) as exc:
+            load_dataset_csv(path)
+        assert str(exc.value) == f"{path}: line 2: non-finite value in column 'b'"
+        path.write_text("a,b\n1.0,2.0\ninf,1.0\n1.0,oops\n")
+        with pytest.raises(DataValidationError, match="line 3: non-finite value in column 'a'"):
+            load_dataset_csv(path)
+
+    def test_overflow_to_inf_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n1.0,2.0\n1e400,3.0\n")
+        with pytest.raises(DataValidationError) as exc:
+            load_dataset_csv(path)
+        assert str(exc.value) == f"{path}: line 3: non-finite value in column 'a'"
+
+    def test_non_finite_after_blank_lines_reports_file_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n\n1.0,2.0\n\n\n3.0,-inf\n")
+        with pytest.raises(DataValidationError) as exc:
+            load_dataset_csv(path)
+        assert str(exc.value) == f"{path}: line 6: non-finite value in column 'b'"
 
 
 def test_standardize_zero_mean_unit_variance():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ksdiff import (
@@ -8,6 +10,7 @@ from ksdiff import (
     dataset_from_array,
     edf_eval,
     ks_empirical,
+    ks_empirical_columns,
     project_pair,
     projected_ks,
     projected_ks_grid,
@@ -87,6 +90,42 @@ class TestKsEmpirical:
             p, q = random_sample_pair(rng, tie_heavy=i % 2 == 0)
             phi = transforms[i % len(transforms)]
             assert ks_empirical(p, q) == ks_empirical(phi(p), phi(q))
+
+
+# column kinds for the multi-row kernel: distinct values (no ties anywhere in
+# the pooled column), small integers (long runs of ties) and signed zeros
+# (-0.0 == 0.0, so they tie with each other)
+_COLUMN_VALUES = {
+    "continuous": st.floats(-1e6, 1e6, allow_nan=False),
+    "integer": st.integers(0, 3).map(float),
+    "signed-zero": st.sampled_from([-0.0, 0.0, 1.0]),
+}
+
+
+@st.composite
+def _mixed_column_pair(draw):
+    n = draw(st.integers(1, 25))
+    m = draw(st.integers(1, 25))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_VALUES)), min_size=2, max_size=6))
+    columns = []
+    for kind in kinds:
+        values = st.lists(
+            _COLUMN_VALUES[kind], min_size=n + m, max_size=n + m, unique=kind == "continuous"
+        )
+        columns.append(draw(values))
+    pooled = np.array(columns, dtype=np.float64).T
+    return pooled[:n], pooled[n:]
+
+
+class TestKsEmpiricalColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(_mixed_column_pair())
+    def test_every_column_matches_jump_oracle_exactly(self, pair):
+        a, b = pair
+        values = ks_empirical_columns(a, b)
+        assert values.shape == (a.shape[1],)
+        for col in range(a.shape[1]):
+            assert values[col] == ks_jump_oracle(a[:, col], b[:, col])
 
 
 class TestProjection:
