@@ -31,17 +31,27 @@ METHODS = ("proposed", "mt", "ide09", "hara15")
 SOLVERS = ("greedy-score", "greedy-k", "exact")
 
 
+# argparse names a ``type=`` callable in its message when it raises
+# ValueError, so these raise ArgumentTypeError with the expected form instead
 def _seed(value: str) -> int:
-    seed = int(value)
+    message = f"seed must be an integer in [0, 2**64 - 1], got {value!r}"
+    try:
+        seed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
     if not 0 <= seed <= _MAX_SEED:
-        raise argparse.ArgumentTypeError(f"seed must be a 64-bit unsigned integer, got {value}")
+        raise argparse.ArgumentTypeError(message)
     return seed
 
 
 def _threshold(value: str) -> float:
-    threshold = float(value)
+    message = f"threshold must be a finite number, got {value!r}"
+    try:
+        threshold = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
     if not np.isfinite(threshold):
-        raise argparse.ArgumentTypeError(f"threshold must be a finite number, got {value}")
+        raise argparse.ArgumentTypeError(message)
     return threshold
 
 
@@ -169,6 +179,21 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _spec_int(raw: dict, key: str, default: int | None = None) -> int:
+    value = raw.get(key, default)
+    # JSON true/false arrive as bool, a subclass of int
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise KsdiffError(f"experiment spec key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _spec_list(raw: dict, key: str, kind: type) -> tuple:
+    value = raw[key]
+    if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, kind) for v in value):
+        raise KsdiffError(f"experiment spec key {key!r} must be a list of {kind.__name__} values, got {value!r}")
+    return tuple(value)
+
+
 def _cmd_experiment(args) -> int:
     try:
         with open(args.spec, encoding="utf-8") as fh:
@@ -181,15 +206,18 @@ def _cmd_experiment(args) -> int:
     missing = sorted(required - raw.keys())
     if missing:
         raise KsdiffError(f"experiment spec missing keys: {missing}")
+    master_seed = _spec_int(raw, "master_seed")
+    if not 0 <= master_seed <= _MAX_SEED:
+        raise KsdiffError(f"experiment spec key 'master_seed' must lie in [0, 2**64 - 1], got {master_seed}")
     try:
         config = evaluate.ExperimentConfig(
             generator=raw["generator"],
-            methods=tuple(raw["methods"]),
-            sample_sizes=tuple(raw["N"]),
-            repetitions=int(raw["repetitions"]),
-            master_seed=int(raw["master_seed"]),
-            num_angles=int(raw.get("L", 10)),
-            jobs=int(raw.get("jobs", args.jobs)),
+            methods=_spec_list(raw, "methods", str),
+            sample_sizes=_spec_list(raw, "N", int),
+            repetitions=_spec_int(raw, "repetitions"),
+            master_seed=master_seed,
+            num_angles=_spec_int(raw, "L", 10),
+            jobs=_spec_int(raw, "jobs", args.jobs),
         )
     except (TypeError, ValueError) as exc:
         raise KsdiffError(f"malformed experiment spec: {exc}") from None

@@ -9,6 +9,12 @@ two-dimensional difference is measured by projecting the pair onto random
 directions ``x_i*cos(t) + x_j*sin(t)`` with t uniform on [0, pi) and
 averaging the 1-D statistic over the drawn angles.
 
+The angles of pair (i, j) are numpy's Philox stream keyed by
+``SeedSequence(seed, spawn_key=(i, j))``: the values of
+``Generator(Philox(...)).uniform(0, pi, L)``, bit for bit. Philox is counter
+based, so the seed hash and the cipher are computed for all pairs at once as
+uint32/uint64 array arithmetic, with no generator object per pair.
+
 The kernel works in row layout: each instance is one contiguous row of a
 (K, N+M) pooled array, sample a in the first N columns. Projections are made
 in that layout, so pooling them copies whole rows instead of transposing. A
@@ -104,12 +110,123 @@ def ks_empirical_columns(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _ks_merged(p, q)
 
 
+_U32, _U64 = np.uint32, np.uint64
+_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence hash (a pool of four 32-bit words); every operation on
+# arrays takes explicit uint32/uint64 scalars so nothing is promoted to float
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = _U32(0xCA01F9DD), _U32(0x4973F715), _U32(16)
+# Philox4x64-10 round multipliers and Weyl key increments
+_PHILOX_M = (_U64(0xD2E7470EE14C6C93), _U64(0xCA5A826395121157))
+_PHILOX_W = (_U64(0x9E3779B97F4A7C15), _U64(0xBB67AE8584CAA73B))
+_LOW32, _SHIFT32 = _U64(_MASK32), _U64(32)
+# rows of the angle table drawn at a time, which bounds the Philox temporaries
+_ANGLE_BLOCK_ROWS = 512
+
+
+def _philox_keys(seed: int, spawn: list[np.ndarray], rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Philox keys of ``SeedSequence(seed, spawn_key=...)``, one per row.
+
+    ``spawn`` holds one uint32 array per spawn-key word (empty for no spawn
+    key). The key is ``generate_state(2, uint64)``, split into two uint64
+    arrays. The hash constants advance with the step alone, so they are
+    scalars shared by all rows.
+    """
+    words = []
+    while seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    # zero words hash exactly like the pool slots numpy fills with hashmix(0),
+    # and numpy pads to the pool size explicitly when there is a spawn key
+    words += [0] * (4 - len(words))
+    entropy = [np.full(rows, w, dtype=_U32) for w in words] + spawn
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ _U32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * _U32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ _U32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * _U32(hash_const)
+        state.append((word ^ (word >> _XSHIFT)).astype(_U64))
+    return state[0] | (state[1] << _SHIFT32), state[2] | (state[3] << _SHIFT32)
+
+
+def _mulhi64(a: np.ndarray, m: np.uint64) -> np.ndarray:
+    """High 64 bits of the 128-bit product ``a * m``, from 32-bit limbs."""
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    lo_lo = a_lo * m_lo
+    hi_lo = a_hi * m_lo
+    cross = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + a_lo * m_hi
+    return a_hi * m_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32)
+
+
+def _philox_angles(seed: int, count: int, pairs: np.ndarray | None = None) -> np.ndarray:
+    """Angle table of ``Generator(Philox(SeedSequence(seed, spawn_key=pair))).uniform(0, pi, count)``.
+
+    Row r holds the ``count`` angles of ``pairs[r]``, a (P, 2) array of
+    feature indices; with ``pairs=None`` the table has one row, drawn with no
+    spawn key. Philox is counter based, so all rows are computed at once:
+    numpy increments the counter before each four-word block, so block b
+    (from 0) encrypts counter ``b + 1``, and each word x becomes the angle
+    ``pi * ((x >> 11) * 2**-53)``. Every value equals numpy's bit for bit.
+    """
+    if pairs is None:
+        rows, spawn = 1, []
+    else:
+        pairs = np.asarray(pairs).reshape(-1, 2)
+        if pairs.size and (pairs.min() < 0 or pairs.max() > _MASK32):
+            raise DataValidationError("pair indices must lie in [0, 2**32)")
+        rows, spawn = len(pairs), [pairs[:, 0].astype(_U32), pairs[:, 1].astype(_U32)]
+    key0, key1 = _philox_keys(seed, spawn, rows)
+    blocks = -(-count // 4)
+    counter = np.arange(1, blocks + 1, dtype=_U64)
+    zeros = np.zeros(blocks, dtype=_U64)
+    table = np.empty((rows, count))
+    for start in range(0, rows, _ANGLE_BLOCK_ROWS):
+        k0 = key0[start : start + _ANGLE_BLOCK_ROWS, None]
+        k1 = key1[start : start + _ANGLE_BLOCK_ROWS, None]
+        c0, c1, c2, c3 = counter, zeros, zeros, zeros
+        for round_ in range(10):
+            if round_:
+                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+            hi0, lo0 = _mulhi64(c0, _PHILOX_M[0]), c0 * _PHILOX_M[0]
+            hi1, lo1 = _mulhi64(c2, _PHILOX_M[1]), c2 * _PHILOX_M[1]
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
+        words = words.reshape(len(k0), 4 * blocks)[:, :count] >> _U64(11)
+        table[start : start + len(k0)] = np.pi * (words * (1.0 / 9007199254740992.0))
+    return table
+
+
 @dataclass(frozen=True)
 class ProjectionAngleSet:
     """Projection angles for one feature pair, with the provenance to regenerate them.
 
     ``generate`` is keyed on (seed, pair) through a counter-based generator,
-    so any pair's angles can be rebuilt in isolation and in any order.
+    so any pair's angles can be rebuilt in isolation and in any order; its
+    angles are the row of ``_philox_angles`` that the matrix build uses.
     """
 
     angles: np.ndarray
@@ -135,12 +252,8 @@ class ProjectionAngleSet:
             raise DataValidationError("angle count must be >= 1")
         if seed < 0:
             raise DataValidationError("seed must be a nonnegative integer")
-        if pair is None:
-            ss = np.random.SeedSequence(seed)
-        else:
-            ss = np.random.SeedSequence(seed, spawn_key=(int(pair[0]), int(pair[1])))
-        rng = np.random.Generator(np.random.Philox(ss))
-        return cls(rng.uniform(0.0, np.pi, size=count), seed, pair)
+        pairs = None if pair is None else np.array([[int(pair[0]), int(pair[1])]], dtype=object)
+        return cls(_philox_angles(seed, count, pairs)[0], seed, pair)
 
 
 def _check_pair(ds: Dataset, i: int, j: int) -> None:

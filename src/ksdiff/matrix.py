@@ -3,7 +3,8 @@
 Every pair (i < j) draws its own angle set from (master_seed, i, j), so the
 build is deterministic for any worker count and any evaluation order. The
 "shared" policy reuses a single angle set, keyed on the master seed alone,
-for every pair.
+for every pair. The angles of all pairs are drawn in one pass before the
+chunks run, and the chunk results are written back with one scatter.
 """
 
 from __future__ import annotations
@@ -11,13 +12,12 @@ from __future__ import annotations
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .data import Dataset, _check_name
 from .errors import DataValidationError
-from .ks import ProjectionAngleSet, _ks_merged, _project_rows, ks_empirical_columns
+from .ks import ProjectionAngleSet, _ks_merged, _philox_angles, _project_rows, ks_empirical_columns
 
 ANGLE_POLICIES = ("per-pair", "shared")
 
@@ -114,34 +114,41 @@ def build_ks_matrix(
     h = np.zeros((d, d), dtype=np.float64)
     h[np.diag_indices(d)] = ks_empirical_columns(p.values, q.values)
 
-    pairs = list(combinations(range(d), 2))
+    pair_i, pair_j = np.triu_indices(d, k=1)
+    num_pairs = pair_i.size
+    if angle_policy == "per-pair":
+        angles = _philox_angles(master_seed, num_angles, np.column_stack((pair_i, pair_j)))
+    else:
+        angles = np.broadcast_to(_philox_angles(master_seed, num_angles), (num_pairs, num_angles))
+    if angles.size and not (angles.min() >= 0.0 and angles.max() < np.pi):
+        raise DataValidationError("angles must lie in [0, pi)")
     step = _pairs_per_chunk(p.num_rows + q.num_rows, num_angles)
-    chunks = [pairs[s : s + step] for s in range(0, len(pairs), step)]
     # one feature per contiguous row, so each chunk projects straight into row layout
     pt = np.ascontiguousarray(p.values.T)
     qt = np.ascontiguousarray(q.values.T)
+    values = np.empty(num_pairs)
 
-    def eval_chunk(chunk):
-        angles = np.concatenate(
-            [pair_angles(master_seed, num_angles, i, j, angle_policy).angles for i, j in chunk]
-        )
-        cols_i = np.repeat([i for i, _ in chunk], num_angles)
-        cols_j = np.repeat([j for _, j in chunk], num_angles)
-        cos, sin = np.cos(angles), np.sin(angles)
+    def eval_chunk(start):
+        stop = start + step
+        chunk_angles = angles[start:stop].ravel()
+        cols_i = np.repeat(pair_i[start:stop], num_angles)
+        cols_j = np.repeat(pair_j[start:stop], num_angles)
+        cos, sin = np.cos(chunk_angles), np.sin(chunk_angles)
         rp = _project_rows(pt, cols_i, cols_j, cos, sin)
         rq = _project_rows(qt, cols_i, cols_j, cos, sin)
-        return _ks_merged(rp.T, rq.T).reshape(len(chunk), num_angles).mean(axis=1)
+        values[start:stop] = _ks_merged(rp.T, rq.T).reshape(-1, num_angles).mean(axis=1)
 
-    if jobs == 1 or len(chunks) < 2:
-        values = [eval_chunk(chunk) for chunk in chunks]
+    starts = range(0, num_pairs, step)
+    if jobs == 1 or len(starts) < 2:
+        for start in starts:
+            eval_chunk(start)
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(eval_chunk, chunks))
+            # reading every result re-raises an exception from any chunk
+            list(pool.map(eval_chunk, starts))
 
-    for chunk, chunk_values in zip(chunks, values):
-        for (i, j), v in zip(chunk, chunk_values):
-            h[i, j] = v
-            h[j, i] = v
+    h[pair_i, pair_j] = values
+    h[pair_j, pair_i] = values
     return EmpiricalKsMatrix(h, p.names, num_angles, master_seed, angle_policy)
 
 

@@ -108,6 +108,23 @@ class TestSelect:
         assert "--threshold" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "option, value, expected",
+        [("--threshold", "abc", "finite number"), ("--seed", "1e3", "integer in [0, 2**64 - 1]")],
+        ids=["threshold", "seed"],
+    )
+    def test_unparseable_option_names_option_and_form(
+        self, csv_pair, tmp_path, capsys, option, value, expected
+    ):
+        p_path, q_path = csv_pair
+        argv = ["select", "--p", p_path, "--q", q_path, "--seed", "9", "--out", str(tmp_path / "r.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: " in err and expected in err
+        assert "_threshold" not in err and "_seed" not in err
+
     def test_greedy_k_reports_selection(self, csv_pair, tmp_path):
         p_path, q_path = csv_pair
         out = tmp_path / "r.json"
@@ -240,3 +257,13 @@ class TestExperimentCommand:
         missing = tmp_path / "missing.json"
         missing.write_text(json.dumps({"generator": "example2"}))
         assert main(["experiment", "--spec", str(missing), "--out-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("N", "100"), ("L", 1.7), ("repetitions", 1.5), ("master_seed", 2**70)],
+    )
+    def test_mistyped_spec_value_exit_2(self, tmp_path, capsys, key, value):
+        spec = self._spec(tmp_path, **{key: value})
+        assert main(["experiment", "--spec", spec, "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"experiment spec key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -15,6 +15,8 @@ from ksdiff import (
     projected_ks,
     projected_ks_grid,
 )
+
+from ksdiff.ks import _philox_angles
 
 from conftest import ks_jump_oracle, random_sample_pair
 
@@ -173,6 +175,39 @@ class TestAngleSet:
     def test_out_of_domain_rejected(self):
         with pytest.raises(DataValidationError):
             ProjectionAngleSet(np.array([0.1, np.pi]), seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        count=st.integers(1, 40),
+        pairs=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 400)), min_size=1, max_size=6),
+    )
+    @example(seed=0, count=1, pairs=[(0, 1)])
+    @example(seed=2**32 - 1, count=5, pairs=[(0, 0), (399, 2)])
+    @example(seed=2**32, count=7, pairs=[(1, 2)])
+    @example(seed=2**64 - 1, count=40, pairs=[(118, 119), (0, 400)])
+    # seeds past 64 bits are accepted by build_ks_matrix; past 128 bits the
+    # seed words outnumber SeedSequence's pool
+    @example(seed=2**64, count=10, pairs=[(3, 9)])
+    @example(seed=2**130 + 12345, count=3, pairs=[(5, 6)])
+    def test_vectorised_draw_equals_numpy_philox(self, seed, count, pairs):
+        def numpy_angles(**spawn):
+            ss = np.random.SeedSequence(seed, **spawn)
+            return np.random.Generator(np.random.Philox(ss)).uniform(0.0, np.pi, count)
+
+        table = _philox_angles(seed, count, np.array(pairs))
+        expected = np.stack([numpy_angles(spawn_key=pair) for pair in pairs])
+        assert table.tobytes() == expected.tobytes()
+        # the shared policy draws with no spawn key
+        assert _philox_angles(seed, count).tobytes() == numpy_angles()[None].tobytes()
+        generated = ProjectionAngleSet.generate(seed, count, pair=pairs[0]).angles
+        assert generated.tobytes() == expected[0].tobytes()
+
+    def test_pair_indices_beyond_one_word_rejected(self):
+        with pytest.raises(DataValidationError, match="pair indices"):
+            ProjectionAngleSet.generate(1, 4, pair=(2**32, 0))
+        with pytest.raises(DataValidationError, match="pair indices"):
+            ProjectionAngleSet.generate(1, 4, pair=(-1, 0))
 
 
 class TestProjectedKs:

@@ -31,9 +31,10 @@ class TestBuild:
     def test_single_feature(self):
         p = dataset_from_array([[0.0], [1.0], [2.0]])
         q = dataset_from_array([[5.0], [6.0], [7.0]])
-        m = build_ks_matrix(p, q, 10, 7)
-        assert m.entries.shape == (1, 1)
-        assert m.entries[0, 0] == ks_empirical(p.values[:, 0], q.values[:, 0])
+        for policy in ("per-pair", "shared"):
+            m = build_ks_matrix(p, q, 10, 7, angle_policy=policy)
+            assert m.entries.shape == (1, 1)
+            assert m.entries[0, 0] == ks_empirical(p.values[:, 0], q.values[:, 0])
 
     def test_matches_sequential_jump_point_oracle_exactly(self):
         # independent re-evaluation: scalar jump-point KS per angle, plain mean
@@ -59,11 +60,14 @@ class TestBuild:
                 assert m.entries[j, i] == m.entries[i, j]
 
     def test_deterministic_across_worker_counts(self):
+        # D = 40 gives 780 pairs in 49 chunks of at most 16, the last one ragged
         rng = np.random.default_rng(1)
-        p, q = _random_pair(rng, d=7)
-        reference = build_ks_matrix(p, q, 10, 99, jobs=1)
-        for jobs in (2, 4, 16):
-            assert np.array_equal(build_ks_matrix(p, q, 10, 99, jobs=jobs).entries, reference.entries)
+        p, q = _random_pair(rng, d=40)
+        for policy in ("per-pair", "shared"):
+            reference = build_ks_matrix(p, q, 10, 99, angle_policy=policy, jobs=1).entries.tobytes()
+            for jobs in (2, 4, 16):
+                m = build_ks_matrix(p, q, 10, 99, angle_policy=policy, jobs=jobs)
+                assert m.entries.tobytes() == reference
 
     def test_shared_policy_uses_one_angle_set(self):
         rng = np.random.default_rng(2)
