@@ -8,9 +8,7 @@ an AUROC experiment runner, and executable identifiability checks.
 """
 
 from .baselines import (
-    GaussianSummaries,
     estimate_precision_cv,
-    gaussian_summaries,
     hara15_matrix,
     hara15_score,
     ide09_score,
@@ -84,7 +82,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentRecord",
     "ExperimentReport",
-    "GaussianSummaries",
     "GroundTruth",
     "KlBoundCheck",
     "KsdiffError",
@@ -105,7 +102,6 @@ __all__ = [
     "estimate_precision_cv",
     "exact_min",
     "example1_population",
-    "gaussian_summaries",
     "gen_example1",
     "gen_example2",
     "greedy_k",

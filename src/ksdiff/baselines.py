@@ -10,8 +10,6 @@ are contiguous; pass a seed only to shuffle rows before folding).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import Dataset
@@ -73,29 +71,6 @@ def estimate_precision_cv(ds: Dataset, seed: int | None = None) -> tuple[np.ndar
     _, cov = _mean_cov(x)
     prec = _sym(np.linalg.inv(cov + best_kappa * np.eye(x.shape[1])))
     return prec, best_kappa
-
-
-@dataclass(frozen=True)
-class GaussianSummaries:
-    """Per-dataset Gaussian moments and ridge precisions."""
-
-    mean_p: np.ndarray
-    mean_q: np.ndarray
-    cov_p: np.ndarray
-    cov_q: np.ndarray
-    prec_p: np.ndarray
-    prec_q: np.ndarray
-    kappa_p: float
-    kappa_q: float
-
-
-def gaussian_summaries(p: Dataset, q: Dataset, seed: int | None = None) -> GaussianSummaries:
-    _check_same_features(p, q)
-    mean_p, cov_p = _mean_cov(p.values)
-    mean_q, cov_q = _mean_cov(q.values)
-    prec_p, kappa_p = estimate_precision_cv(p, seed)
-    prec_q, kappa_q = estimate_precision_cv(q, seed)
-    return GaussianSummaries(mean_p, mean_q, cov_p, cov_q, prec_p, prec_q, kappa_p, kappa_q)
 
 
 def _check_same_features(p: Dataset, q: Dataset) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -66,7 +67,8 @@ def _load_pair(p_path, q_path):
     p = load_dataset_csv(p_path)
     q = load_dataset_csv(q_path)
     if p.names != q.names:
-        raise KsdiffError(f"column headers differ between {p_path} and {q_path}")
+        a, b = next((a, b) for a, b in zip(p.names + ("<none>",), q.names + ("<none>",)) if a != b)
+        raise KsdiffError(f"column headers differ between {p_path} and {q_path}: {a!r} vs {b!r}")
     return p, q
 
 
@@ -128,7 +130,7 @@ def _cmd_select(args) -> int:
     else:
         scores = ide09_score(p, q)
 
-    report["ranking"] = _ranking(p.names, scores)
+    report["ranking"] = _ranking(p.names, evaluate.finite_scores(args.method, scores))
     if args.threshold is not None:
         report["threshold"] = args.threshold
         report["over_threshold"] = [
@@ -179,19 +181,7 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _spec_int(raw: dict, key: str, default: int | None = None) -> int:
-    value = raw.get(key, default)
-    # JSON true/false arrive as bool, a subclass of int
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise KsdiffError(f"experiment spec key {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _spec_list(raw: dict, key: str, kind: type) -> tuple:
-    value = raw[key]
-    if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, kind) for v in value):
-        raise KsdiffError(f"experiment spec key {key!r} must be a list of {kind.__name__} values, got {value!r}")
-    return tuple(value)
+_SPEC_KEYS = {"sample_sizes": "N", "num_angles": "L"}  # ExperimentConfig field -> spec key
 
 
 def _cmd_experiment(args) -> int:
@@ -206,29 +196,24 @@ def _cmd_experiment(args) -> int:
     missing = sorted(required - raw.keys())
     if missing:
         raise KsdiffError(f"experiment spec missing keys: {missing}")
-    master_seed = _spec_int(raw, "master_seed")
-    if not 0 <= master_seed <= _MAX_SEED:
-        raise KsdiffError(f"experiment spec key 'master_seed' must lie in [0, 2**64 - 1], got {master_seed}")
     try:
         config = evaluate.ExperimentConfig(
             generator=raw["generator"],
-            methods=_spec_list(raw, "methods", str),
-            sample_sizes=_spec_list(raw, "N", int),
-            repetitions=_spec_int(raw, "repetitions"),
-            master_seed=master_seed,
-            num_angles=_spec_int(raw, "L", 10),
-            jobs=_spec_int(raw, "jobs", args.jobs),
+            methods=raw["methods"],
+            sample_sizes=raw["N"],
+            repetitions=raw["repetitions"],
+            master_seed=raw["master_seed"],
+            num_angles=raw.get("L", 10),
+            jobs=raw.get("jobs", args.jobs),
         )
-    except (TypeError, ValueError) as exc:
-        raise KsdiffError(f"malformed experiment spec: {exc}") from None
+    except evaluate.ConfigFieldError as exc:
+        key = _SPEC_KEYS.get(exc.field, exc.field)
+        raise KsdiffError(f"experiment spec key {key!r}: {exc}") from None
     reports = evaluate.run_experiment(config)
-    outdir = args.out_dir
-    import os
-
-    os.makedirs(outdir, exist_ok=True)
-    evaluate.write_report_csv(reports, os.path.join(outdir, "report.csv"))
-    evaluate.write_aggregate_json(reports, os.path.join(outdir, "aggregate.json"))
-    evaluate.write_auroc_vs_n_csv(reports, os.path.join(outdir, "auroc_vs_N.csv"))
+    os.makedirs(args.out_dir, exist_ok=True)
+    evaluate.write_report_csv(reports, os.path.join(args.out_dir, "report.csv"))
+    evaluate.write_aggregate_json(reports, os.path.join(args.out_dir, "aggregate.json"))
+    evaluate.write_auroc_vs_n_csv(reports, os.path.join(args.out_dir, "auroc_vs_N.csv"))
     return 0
 
 

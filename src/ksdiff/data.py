@@ -95,11 +95,6 @@ class Dataset:
     def num_features(self) -> int:
         return self.values.shape[1]
 
-    def column(self, i: int) -> Sample1D:
-        if not 0 <= i < self.num_features:
-            raise DataValidationError(f"column index {i} out of range for {self.num_features} features")
-        return Sample1D(self.values[:, i])
-
 
 def default_names(d: int) -> tuple[str, ...]:
     """Display labels x1..xD for a D-column dataset."""
@@ -129,9 +124,10 @@ def standardize(ds: Dataset) -> Dataset:
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset CSV: header row of names, one row of decimals per sample.
 
-    Errors name the first defect in file order, with its line number.
+    A leading UTF-8 byte-order mark is dropped. Errors name the first defect
+    in file order, with its line number.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -44,6 +44,14 @@ def auroc(scores, truth) -> float:
     return float((wins + 0.5 * ties) / (pos.size * neg.size))
 
 
+def finite_scores(method: str, scores) -> np.ndarray:
+    """Scores as a float array; NaN or infinite scores raise, naming the method."""
+    s = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(s)):
+        raise DataValidationError(f"method {method!r} produced non-finite scores")
+    return s
+
+
 def proposed_score(p: Dataset, q: Dataset, num_angles: int, seed: int, jobs: int = 1) -> np.ndarray:
     """Greedy scores from the pairwise KS matrix (the method under study)."""
     return greedy_score(build_ks_matrix(p, q, num_angles, seed, jobs=jobs)).scores
@@ -92,6 +100,30 @@ class ExperimentReport:
         return float(np.std([r.auroc for r in ok], ddof=1))
 
 
+class ConfigFieldError(DataValidationError):
+    """An ``ExperimentConfig`` field failed validation; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field} {message}")
+        self.field = field
+
+
+def _integer(field: str, value, low: int, high: int | None = None) -> int:
+    # bool is an int subclass, and a float such as 1.5 must not be truncated
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integral or value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigFieldError(field, f"must be an integer {bounds}, got {value!r}")
+    return int(value)
+
+
+def _items(field: str, value) -> tuple:
+    items = tuple(value) if isinstance(value, (list, tuple, range, np.ndarray)) else ()
+    if not items:
+        raise ConfigFieldError(field, f"must be a non-empty list, got {value!r}")
+    return items
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     generator: str
@@ -103,30 +135,17 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.generator not in GENERATORS:
-            raise DataValidationError(
-                f"unknown generator {self.generator!r}, expected one of {sorted(GENERATORS)}"
-            )
-        methods = tuple(self.methods)
-        if not methods:
-            raise DataValidationError("at least one method is required")
-        known = set(_method_registry(1))
-        unknown = [m for m in methods if m not in known]
-        if unknown:
-            raise DataValidationError(f"unknown methods {unknown}, expected subset of {sorted(known)}")
-        sizes = tuple(int(n) for n in self.sample_sizes)
-        if not sizes or min(sizes) < 2:
-            raise DataValidationError("sample sizes must be >= 2")
-        if self.repetitions < 1:
-            raise DataValidationError("repetitions must be >= 1")
-        if self.master_seed < 0:
-            raise DataValidationError("master seed must be nonnegative")
-        if self.num_angles < 1:
-            raise DataValidationError("angle count must be >= 1")
-        if self.jobs < 1:
-            raise DataValidationError("jobs must be >= 1")
+        if not isinstance(self.generator, str) or self.generator not in GENERATORS:
+            raise ConfigFieldError("generator", f"must be in {sorted(GENERATORS)}, got {self.generator!r}")
+        methods, known = _items("methods", self.methods), set(_method_registry(1))
+        if not all(isinstance(m, str) and m in known for m in methods):
+            raise ConfigFieldError("methods", f"must be a subset of {sorted(known)}, got {list(methods)}")
+        sizes = tuple(_integer("sample_sizes", n, 2) for n in _items("sample_sizes", self.sample_sizes))
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "sample_sizes", sizes)
+        object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed, 0, 2**64 - 1))
+        for field in ("repetitions", "num_angles", "jobs"):
+            object.__setattr__(self, field, _integer(field, getattr(self, field), 1))
 
 
 def repetition_seed(master_seed: int, n: int, rep: int) -> int:
@@ -154,7 +173,7 @@ def run_experiment(config: ExperimentConfig, registry=None) -> list[ExperimentRe
             try:
                 scores = methods[name](p, q, seed)
                 elapsed = time.perf_counter() - started
-                out[name] = ExperimentRecord(seed, n, auroc(scores, truth), elapsed)
+                out[name] = ExperimentRecord(seed, n, auroc(finite_scores(name, scores), truth), elapsed)
             except Exception as exc:  # recorded, not fatal to the sweep
                 elapsed = time.perf_counter() - started
                 out[name] = ExperimentRecord(seed, n, float("nan"), elapsed, error=str(exc))

@@ -3,9 +3,9 @@
 The selection is uniquely recoverable exactly when the margin between the
 true complement's objective and the best competing complement is positive.
 These helpers evaluate the per-feature necessary and sufficient positivity
-conditions on a matrix, brute-force that margin, convert a known margin into
-closed-form sample-size requirements, and stress-test recovery under bounded
-matrix perturbations. A closed-form bivariate-Gaussian KL bound used to
+conditions on a matrix, compute that margin by exact enumeration, convert a
+known margin into closed-form sample-size requirements, and stress-test
+recovery under bounded matrix perturbations. A closed-form bivariate-Gaussian KL bound used to
 relate matrix entries to distribution divergence is included as a numeric
 check.
 """
@@ -27,7 +27,7 @@ OMITTED_TERM_NOTE = (
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Per-feature condition outcomes plus the brute-forced margin."""
+    """Per-feature condition outcomes plus the exactly enumerated margin."""
 
     s_star: tuple[int, ...]
     k: int
@@ -70,7 +70,7 @@ def check_conditions(
     or at least one positive off-diagonal entry in row d; the sufficient one
     asks for a positive diagonal entry or for the whole row to be positive.
     Positivity is strict inequality against ``tol``, since finite-sample
-    matrices are never exactly zero. The margin is brute-forced over all
+    matrices are never exactly zero. The margin is the exact minimum over all
     competing complements of the implied size.
     """
     w = as_weight_matrix(h)

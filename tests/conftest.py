@@ -41,6 +41,51 @@ def brute_force_min(w: np.ndarray, k: int):
     return best_val, tuple(best_comp)
 
 
+def exact_min_oracle(w: np.ndarray, k: int):
+    """Branch-and-bound minimum: (selected, objective) under exact_min's tie rule.
+
+    Complements are explored in lexicographic order, folding each member in
+    as ``partial + w[c, c] + 2.0 * cross[c]``; a partial complement is
+    abandoned once it reaches the incumbent, so the first-found,
+    lexicographically smallest complement of least folded value wins.
+    """
+    d = w.shape[0]
+    best_value, best_complement, chosen = np.inf, [], []
+
+    def descend(start, partial, cross):
+        nonlocal best_value, best_complement
+        if len(chosen) == k:
+            if partial < best_value:
+                best_value, best_complement = partial, list(chosen)
+            return
+        for nxt in range(start, d - (k - len(chosen)) + 1):
+            added = partial + w[nxt, nxt] + 2.0 * cross[nxt]
+            if added >= best_value:
+                continue
+            chosen.append(nxt)
+            descend(nxt + 1, added, cross + w[nxt])
+            chosen.pop()
+
+    if k:
+        descend(0, 0.0, np.zeros(d))
+    idx = np.asarray(best_complement, dtype=np.intp)
+    objective = float(w[np.ix_(idx, idx)].sum()) if k else 0.0
+    return tuple(i for i in range(d) if i not in best_complement), objective
+
+
+def margin_oracle(w: np.ndarray, selected, k: int) -> float:
+    """Brute-force optimality margin: best competing complement minus the given one."""
+    d = w.shape[0]
+    baseline = tuple(sorted(set(range(d)) - {int(i) for i in selected}))
+
+    def value(comp):
+        idx = np.asarray(comp, dtype=np.intp)
+        return float(w[np.ix_(idx, idx)].sum()) if comp else 0.0
+
+    f_star = value(baseline)
+    return float(min(value(comp) - f_star for comp in combinations(range(d), k) if comp != baseline))
+
+
 def structured_instance(rng, d: int, k: int):
     """Weight matrix with an exactly-zero complement block and positive margin.
 

@@ -5,7 +5,6 @@ from ksdiff import (
     DataValidationError,
     dataset_from_array,
     estimate_precision_cv,
-    gaussian_summaries,
     gen_example1,
     hara15_matrix,
     hara15_score,
@@ -169,13 +168,3 @@ class TestHara15:
             scores = hara15_score(p, q)
             hits += int(np.argmax(scores)) in truth.changed
         assert hits >= 18
-
-
-def test_gaussian_summaries_shapes():
-    rng = np.random.default_rng(14)
-    p = dataset_from_array(rng.normal(size=(50, 3)))
-    q = dataset_from_array(rng.normal(size=(40, 3)))
-    s = gaussian_summaries(p, q)
-    assert s.cov_p.shape == (3, 3) and s.prec_q.shape == (3, 3)
-    assert np.array_equal(s.cov_p, s.cov_p.T)
-    assert np.all(np.linalg.eigvalsh(s.prec_p) > 0)

@@ -44,6 +44,40 @@ class TestSelect:
         code = main(["select", "--p", str(a), "--q", str(b), "--seed", "1", "--out", str(tmp_path / "r.json")])
         assert code == 2
 
+    def test_header_mismatch_names_first_differing_columns(self, tmp_path, capsys):
+        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+        a.write_text("x,y\n1.0,2.0\n")
+        b.write_text("x,z\n1.0,2.0\n")
+        c.write_text("x\n1.0\n")
+        out = str(tmp_path / "r.json")
+        assert main(["select", "--p", str(a), "--q", str(b), "--seed", "1", "--out", out]) == 2
+        assert "'y' vs 'z'" in capsys.readouterr().err
+        assert main(["select", "--p", str(a), "--q", str(c), "--seed", "1", "--out", out]) == 2
+        assert "'y' vs '<none>'" in capsys.readouterr().err
+
+    def test_byte_order_mark_does_not_split_headers(self, csv_pair, tmp_path):
+        p_path, q_path = csv_pair
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + open(p_path, "rb").read())
+        plain_out, bom_out = tmp_path / "plain.json", tmp_path / "bom.json"
+        assert main(["select", "--p", p_path, "--q", q_path, "--seed", "1", "--out", str(plain_out)]) == 0
+        assert main(["select", "--p", str(bom), "--q", q_path, "--seed", "1", "--out", str(bom_out)]) == 0
+        assert bom_out.read_bytes() == plain_out.read_bytes()
+
+    def test_non_finite_scores_exit_2_naming_method(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        paths = []
+        for side in "pq":
+            path = tmp_path / f"{side}.csv"
+            save_dataset_csv(dataset_from_array(rng.normal(size=(50, 4)) * 1e300), path)
+            paths.append(str(path))
+        out = tmp_path / "r.json"
+        with np.errstate(all="ignore"):
+            code = main(["select", "--p", paths[0], "--q", paths[1], "--method", "mt", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert "method 'mt' produced non-finite scores" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         code = main([
             "select", "--p", str(tmp_path / "none.csv"), "--q", str(tmp_path / "none.csv"),

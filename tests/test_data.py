@@ -52,14 +52,6 @@ class TestDataset:
         with pytest.raises(DataValidationError):
             Dataset(("a",), np.ones((2, 2)))
 
-    def test_column_is_sample(self):
-        ds = dataset_from_array([[1.0, 2.0], [3.0, 4.0]])
-        col = ds.column(1)
-        assert isinstance(col, Sample1D)
-        assert np.array_equal(col.values, [2.0, 4.0])
-        with pytest.raises(DataValidationError):
-            ds.column(2)
-
 
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
@@ -114,6 +106,15 @@ class TestCsvRoundTrip:
         with pytest.raises(DataValidationError) as exc:
             load_dataset_csv(path)
         assert str(exc.value) == f"{path}: line 6: non-finite value in column 'b'"
+
+    def test_utf8_byte_order_mark_is_dropped(self, tmp_path):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text("a,b\n1.0,2.0\n", encoding="utf-8")
+        bom.write_text("a,b\n1.0,2.0\n", encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        with_bom, without = load_dataset_csv(bom), load_dataset_csv(plain)
+        assert with_bom.names == without.names == ("a", "b")
+        assert with_bom.values.tobytes() == without.values.tobytes()
 
 
 def test_standardize_zero_mean_unit_variance():

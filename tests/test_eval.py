@@ -113,6 +113,47 @@ class TestRunner:
         with pytest.raises(DataValidationError, match="repetitions"):
             _tiny_config(repetitions=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sample_sizes", (100.7,)),
+            ("sample_sizes", (True,)),
+            ("sample_sizes", "100"),
+            ("sample_sizes", ("100",)),
+            ("repetitions", 1.5),
+            ("repetitions", True),
+            ("repetitions", "2"),
+            ("num_angles", 3.0),
+            ("num_angles", False),
+            ("num_angles", "3"),
+            ("jobs", 1.5),
+            ("jobs", True),
+            ("jobs", "1"),
+            ("master_seed", 7.0),
+            ("master_seed", True),
+            ("master_seed", "7"),
+            ("master_seed", -1),
+            ("master_seed", 2**64),
+            ("master_seed", 2**70),
+        ],
+    )
+    def test_config_rejects_non_integer_or_out_of_range(self, field, value):
+        with pytest.raises(DataValidationError, match=field) as exc:
+            _tiny_config(**{field: value})
+        assert exc.value.field == field
+
+    def test_config_keeps_integer_values(self):
+        config = _tiny_config(sample_sizes=[np.int64(60)], master_seed=2**64 - 1, jobs=np.int32(2))
+        assert config.sample_sizes == (60,) and type(config.sample_sizes[0]) is int
+        assert config.master_seed == 2**64 - 1 and config.jobs == 2
+
+    def test_non_finite_scores_recorded_as_failure(self):
+        registry = {"proposed": lambda p, q, seed: np.full(p.num_features, np.nan)}
+        reports = run_experiment(_tiny_config(), registry=registry)
+        errors = [r.error for r in reports[0].records]
+        assert errors == ["method 'proposed' produced non-finite scores"] * 2
+        assert np.isnan(reports[0].mean_auroc)
+
 
 class TestWriters:
     @pytest.fixture

@@ -1,9 +1,16 @@
+from math import comb
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ksdiff.solvers
 from ksdiff import (
     DataValidationError,
     SolverLimitError,
+    build_ks_matrix,
     complement_objective,
     exact_min,
     greedy_k,
@@ -11,8 +18,9 @@ from ksdiff import (
     greedy_score_objective,
     optimality_margin,
 )
+from ksdiff.synth import GENERATORS
 
-from conftest import brute_force_min, structured_instance
+from conftest import brute_force_min, exact_min_oracle, margin_oracle, structured_instance
 
 EXAMPLE_3 = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
 
@@ -68,6 +76,15 @@ class TestGreedyK:
             scaled = greedy_k(2.5 * w, 3)
             assert scaled.selected == base.selected
             assert scaled.objective == pytest.approx(2.5 * base.objective, rel=1e-12)
+
+    def test_selection_is_prefix_of_score_order(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            d = int(rng.integers(1, 10))
+            w = np.round(_random_weights(rng, d), 1)
+            order = greedy_score(w).selected
+            for k in range(d + 1):
+                assert greedy_k(w, k).selected == order[: d - k]
 
     def test_input_validation(self):
         with pytest.raises(DataValidationError, match="symmetric"):
@@ -188,3 +205,69 @@ def test_exact_recovers_consistent_instances():
         k = int(rng.integers(1, d - 1))
         w, changed = structured_instance(rng, d, k)
         assert sorted(exact_min(w, k).selected) == changed
+
+
+_ENTRIES = {
+    "uniform": st.floats(0.0, 1.0),
+    "small-integer": st.integers(0, 3).map(float),
+    "rounded": st.floats(0.0, 1.0).map(lambda v: round(v, 2)),
+    "one-decimal": st.floats(0.0, 1.0).map(lambda v: round(v, 1)),
+}
+
+# one-decimal sums round differently in different orders: on the first matrix
+# the least folded competitor is not the least summed one (the margin needs its
+# slack), on the second a regrouped fold picks a different optimum
+_ORDER_SENSITIVE = (
+    [[0.0, 0.7, 1.0, 1.0, 0.6, 0.2], [0.7, 0.5, 0.2, 0.3, 0.0, 0.1], [1.0, 0.2, 0.2, 0.1, 0.7, 0.5],
+     [1.0, 0.3, 0.1, 0.7, 0.8, 0.4], [0.6, 0.0, 0.7, 0.8, 0.6, 0.5], [0.2, 0.1, 0.5, 0.4, 0.5, 0.7]],
+    [[0.2, 0.1, 0.0, 0.0, 0.4], [0.1, 0.7, 0.4, 0.5, 0.1], [0.0, 0.4, 0.8, 0.7, 0.6],
+     [0.0, 0.5, 0.7, 0.6, 0.8], [0.4, 0.1, 0.6, 0.8, 0.9]],
+)
+
+
+@st.composite
+def _weights_and_k(draw):
+    d = draw(st.integers(1, 10))
+    values = draw(st.lists(_ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))], min_size=d * d, max_size=d * d))
+    upper = np.triu(np.reshape(values, (d, d)))
+    return upper + np.triu(upper, 1).T, draw(st.integers(0, d))
+
+
+def _ks_matrix(name):
+    p, q, _ = GENERATORS[name](1000, 20170731)
+    return build_ks_matrix(p, q, 10, 20170731).entries
+
+
+def _check_against_oracles(w, k):
+    d = w.shape[0]
+    limit_d = max(25, d)
+    selected, objective = exact_min_oracle(w, k)
+    result = exact_min(w, k, limit_d=limit_d)
+    assert result.selected == selected
+    assert result.objective == objective
+    if not 1 <= k <= d - 1:
+        with pytest.raises(DataValidationError, match="no competing complement"):
+            optimality_margin(w, result.selected, k, limit_d=limit_d)
+        return
+    if comb(d, k) > 50_000:  # the brute-force margin would take minutes
+        assert optimality_margin(w, result.selected, k, limit_d=limit_d) > 0.0
+        return
+    # an optimal and, on small instances, a non-optimal selection
+    for chosen in (result.selected, tuple(range(d - k)))[: 1 if comb(d, k) > 10_000 else 2]:
+        margin = optimality_margin(w, chosen, k, limit_d=limit_d)
+        assert repr(margin) == repr(margin_oracle(w, chosen, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_weights_and_k(), block=st.sampled_from([1, 3, ksdiff.solvers._BLOCK]))
+@example(case=(np.array(_ORDER_SENSITIVE[0]), 2), block=ksdiff.solvers._BLOCK)
+@example(case=(np.array(_ORDER_SENSITIVE[1]), 3), block=ksdiff.solvers._BLOCK)
+@example(case=(np.zeros((26, 26)), 3), block=ksdiff.solvers._BLOCK)
+@example(case=(structured_instance(np.random.default_rng(12), 25, 12)[0], 12), block=ksdiff.solvers._BLOCK)
+@example(case=(_ks_matrix("example1"), 14), block=ksdiff.solvers._BLOCK)
+@example(case=(_ks_matrix("example2"), 14), block=ksdiff.solvers._BLOCK)
+def test_enumerator_matches_oracles(case, block):
+    # small blocks make D <= 10 instances walk the depth-first prefixes too
+    w, k = case
+    with mock.patch.object(ksdiff.solvers, "_BLOCK", block):
+        _check_against_oracles(w, k)
