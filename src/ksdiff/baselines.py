@@ -5,14 +5,17 @@ All three model both samples as Gaussians. Precision matrices are ridge
 estimates (cov + kappa*I)^-1 with kappa picked from a fixed 11-point
 log-spaced grid in [1e-4, 10] by three-fold cross validation on held-out
 Gaussian log-likelihood. Everything is deterministic given the data (folds
-are contiguous; pass a seed only to shuffle rows before folding).
+are contiguous; pass a seed only to shuffle rows before folding). The
+scorers compute with numpy's overflow and invalid-value warnings off: data
+whose second moments overflow gives non-finite scores, which callers reject
+by method name, and non-finite weights, which ``hara15_matrix`` rejects.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _check_same_columns
 from .errors import DataValidationError, KsdiffError
 from .solvers import greedy_score, greedy_score_objective
 
@@ -73,11 +76,6 @@ def estimate_precision_cv(ds: Dataset, seed: int | None = None) -> tuple[np.ndar
     return prec, best_kappa
 
 
-def _check_same_features(p: Dataset, q: Dataset) -> None:
-    if p.names != q.names:
-        raise DataValidationError("datasets must share identical column names")
-
-
 def _solve_submatrix(c_sub: np.ndarray, g_sub: np.ndarray, subset) -> np.ndarray:
     try:
         return np.linalg.solve(c_sub, g_sub)
@@ -109,6 +107,7 @@ def _mt_scores_from(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
     return greedy_score_objective(objective, d)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mt_score(p: Dataset, q: Dataset, seed: int | None = None) -> np.ndarray:
     """Score features by the trace misfit of Q's second moments about P's mean.
 
@@ -116,7 +115,7 @@ def mt_score(p: Dataset, q: Dataset, seed: int | None = None) -> np.ndarray:
     covariance. A mean or variance change in a feature inflates the
     trace misfit whenever that feature stays in the complement.
     """
-    _check_same_features(p, q)
+    _check_same_columns(p, q)
     mean_p, _ = _mean_cov(p.values)
     _, kappa_p = estimate_precision_cv(p, seed)
     centered_q = q.values - mean_p
@@ -165,9 +164,10 @@ def ide09_scores_from_precisions(
     return scores
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ide09_score(p: Dataset, q: Dataset, seed: int | None = None) -> np.ndarray:
     """Partitioned-precision change score per feature (max over both directions)."""
-    _check_same_features(p, q)
+    _check_same_columns(p, q)
     if p.num_features < 2:
         raise DataValidationError("partitioned-precision scoring needs at least 2 features")
     _, cov_p = _mean_cov(p.values)
@@ -181,9 +181,10 @@ def ide09_score(p: Dataset, q: Dataset, seed: int | None = None) -> np.ndarray:
     return ide09_scores_from_precisions(prec_p, inv_p, prec_q, inv_q)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def hara15_matrix(p: Dataset, q: Dataset, mode: str = "covariance", seed: int | None = None) -> np.ndarray:
     """Entrywise absolute difference of the two covariance (or precision) matrices."""
-    _check_same_features(p, q)
+    _check_same_columns(p, q)
     if mode == "covariance":
         _, a = _mean_cov(p.values)
         _, b = _mean_cov(q.values)
@@ -193,6 +194,8 @@ def hara15_matrix(p: Dataset, q: Dataset, mode: str = "covariance", seed: int | 
     else:
         raise DataValidationError(f"unknown mode {mode!r}, expected 'covariance' or 'precision'")
     diff = np.abs(a - b)
+    if not np.all(np.isfinite(diff)):
+        raise DataValidationError("method 'hara15' produced non-finite weights: the covariances overflow")
     upper = np.triu(diff)
     return upper + np.triu(diff, 1).T
 

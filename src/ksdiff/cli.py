@@ -19,8 +19,8 @@ import numpy as np
 
 from . import evaluate
 from .baselines import hara15_matrix, hara15_score, ide09_score, mt_score
-from .data import load_dataset_csv, save_dataset_csv, standardize
-from .errors import KsdiffError, SolverLimitError
+from .data import _check_same_columns, _finite, _integer, load_dataset_csv, save_dataset_csv, standardize
+from .errors import DataValidationError, KsdiffError, SolverLimitError
 from .matrix import ANGLE_POLICIES, build_ks_matrix, load_matrix, save_matrix
 from .solvers import exact_min, greedy_k, greedy_score
 from .synth import PERTURBATION_KINDS, PerturbationSpec, perturb
@@ -35,25 +35,17 @@ SOLVERS = ("greedy-score", "greedy-k", "exact")
 # argparse names a ``type=`` callable in its message when it raises
 # ValueError, so these raise ArgumentTypeError with the expected form instead
 def _seed(value: str) -> int:
-    message = f"seed must be an integer in [0, 2**64 - 1], got {value!r}"
     try:
-        seed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(message) from None
-    if not 0 <= seed <= _MAX_SEED:
-        raise argparse.ArgumentTypeError(message)
-    return seed
+        return _integer("seed", int(value), 0, _MAX_SEED)
+    except (ValueError, DataValidationError):
+        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**64 - 1], got {value!r}") from None
 
 
 def _threshold(value: str) -> float:
-    message = f"threshold must be a finite number, got {value!r}"
     try:
-        threshold = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(message) from None
-    if not np.isfinite(threshold):
-        raise argparse.ArgumentTypeError(message)
-    return threshold
+        return _finite("threshold", float(value))
+    except (ValueError, DataValidationError):
+        raise argparse.ArgumentTypeError(f"threshold must be a finite number, got {value!r}") from None
 
 
 def _index_list(value: str) -> tuple[int, ...]:
@@ -66,9 +58,10 @@ def _index_list(value: str) -> tuple[int, ...]:
 def _load_pair(p_path, q_path):
     p = load_dataset_csv(p_path)
     q = load_dataset_csv(q_path)
-    if p.names != q.names:
-        a, b = next((a, b) for a, b in zip(p.names + ("<none>",), q.names + ("<none>",)) if a != b)
-        raise KsdiffError(f"column headers differ between {p_path} and {q_path}: {a!r} vs {b!r}")
+    try:
+        _check_same_columns(p, q)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{p_path} and {q_path}: {exc}") from None
     return p, q
 
 

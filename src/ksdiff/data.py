@@ -1,17 +1,21 @@
-"""Tabular sample containers and CSV round-trip.
+"""Tabular sample containers, the table text format and the parameter checks.
 
 A dataset is an N x D matrix of finite reals with named feature columns.
 Indices are 0-based throughout; column names are display labels only.
+A table (a name header, then one row of decimals per line) is read and
+written here for dataset CSVs and, past their provenance line, matrix files.
 """
 
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import ConfigFieldError, DataValidationError
 
 
 def _check_name(name: str) -> str:
@@ -20,6 +24,24 @@ def _check_name(name: str) -> str:
     if "," in name or "\n" in name or "\r" in name:
         raise DataValidationError(f"feature name {name!r} contains a comma or newline")
     return name
+
+
+def _integer(field: str, value, low: int, high: int | None = None) -> int:
+    # bool is an int subclass, and a float such as 1.5 must not be truncated
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integral or value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigFieldError(field, f"must be an integer {bounds}, got {value!r}")
+    return int(value)
+
+
+def _finite(field: str, value) -> float:
+    # as in _integer, bool and strings such as "1e-9" are rejected, not coerced;
+    # the comparisons are false for NaN and also reject ints beyond float range
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and -sys.float_info.max <= value <= sys.float_info.max):
+        raise ConfigFieldError(field, f"must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -96,6 +118,13 @@ class Dataset:
         return self.values.shape[1]
 
 
+def _check_same_columns(p: Dataset, q: Dataset) -> None:
+    """Reject two datasets whose column names differ, naming the first differing pair."""
+    if p.names != q.names:
+        a, b = next((a, b) for a, b in zip_longest(p.names, q.names) if a != b)
+        raise DataValidationError(f"column names differ: {a or '<none>'!r} vs {b or '<none>'!r}")
+
+
 def default_names(d: int) -> tuple[str, ...]:
     """Display labels x1..xD for a D-column dataset."""
     return tuple(f"x{i + 1}" for i in range(d))
@@ -122,37 +151,45 @@ def standardize(ds: Dataset) -> Dataset:
 
 
 def load_dataset_csv(path) -> Dataset:
-    """Read a dataset CSV: header row of names, one row of decimals per sample.
+    """Read a dataset CSV: one table of names and one row of decimals per sample.
 
     A leading UTF-8 byte-order mark is dropped. Errors name the first defect
     in file order, with its line number.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path}: empty file") from None
-        names = [h.strip() for h in header]
-        rows, linenos = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
-                _check_finite_rows(path, names, rows, linenos)
-                raise DataValidationError(
-                    f"{path}: line {lineno}: expected {len(names)} values, got {len(row)}"
-                )
-            try:
-                rows.append(list(map(float, row)))
-            except ValueError:
-                _check_finite_rows(path, names, rows, linenos)
-                raise DataValidationError(f"{path}: line {lineno}: non-numeric value") from None
-            linenos.append(lineno)
-    if not rows:
+        names, values = _read_table(fh, path, 1)
+    if not len(values):
         raise DataValidationError(f"{path}: no data rows")
-    values = _check_finite_rows(path, names, rows, linenos)
-    return Dataset(tuple(names), values)
+    return Dataset(names, values)
+
+
+def _read_table(fh, path, header_line: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Names and (R, D) values of a table whose name header is line ``header_line`` of ``fh``.
+
+    Blank lines are skipped; errors name the first defect in file order.
+    """
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataValidationError(f"{path}: line {header_line}: missing feature-name header") from None
+    names = [h.strip() for h in header]
+    rows, linenos = [], []
+    for lineno, row in enumerate(reader, start=header_line + 1):
+        if not row:
+            continue
+        if len(row) != len(names):
+            _check_finite_rows(path, names, rows, linenos)
+            raise DataValidationError(
+                f"{path}: line {lineno}: expected {len(names)} values, got {len(row)}"
+            )
+        try:
+            rows.append(list(map(float, row)))
+        except ValueError:
+            _check_finite_rows(path, names, rows, linenos)
+            raise DataValidationError(f"{path}: line {lineno}: non-numeric value") from None
+        linenos.append(lineno)
+    return tuple(names), _check_finite_rows(path, names, rows, linenos)
 
 
 def _check_finite_rows(path, names, rows, linenos) -> np.ndarray:
@@ -170,6 +207,11 @@ def _check_finite_rows(path, names, rows, linenos) -> np.ndarray:
 def save_dataset_csv(ds: Dataset, path) -> None:
     """Write a dataset CSV with full-precision (round-trippable) decimals."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(ds.names) + "\n")
-        for row in ds.values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        _write_table(fh, ds.names, ds.values)
+
+
+def _write_table(fh, names, values) -> None:
+    """Write the name header and one row of round-trippable decimals per row of ``values``."""
+    fh.write(",".join(names) + "\n")
+    for row in values:
+        fh.write(",".join(repr(float(v)) for v in row) + "\n")

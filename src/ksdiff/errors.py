@@ -11,3 +11,11 @@ class DataValidationError(KsdiffError):
 
 class SolverLimitError(KsdiffError):
     """Problem size exceeds the configured limit of an exact solver."""
+
+
+class ConfigFieldError(DataValidationError):
+    """A parameter failed validation; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field} {message}")
+        self.field = field

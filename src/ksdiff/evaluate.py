@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import hara15_score, ide09_score, mt_score
-from .data import Dataset
-from .errors import DataValidationError
+from .data import Dataset, _integer
+from .errors import ConfigFieldError, DataValidationError
 from .matrix import build_ks_matrix
 from .solvers import greedy_score
 from .synth import GENERATORS, GroundTruth
@@ -98,23 +98,6 @@ class ExperimentReport:
         if len(ok) < 2:
             return 0.0
         return float(np.std([r.auroc for r in ok], ddof=1))
-
-
-class ConfigFieldError(DataValidationError):
-    """An ``ExperimentConfig`` field failed validation; ``field`` names it."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field} {message}")
-        self.field = field
-
-
-def _integer(field: str, value, low: int, high: int | None = None) -> int:
-    # bool is an int subclass, and a float such as 1.5 must not be truncated
-    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not integral or value < low or (high is not None and value > high):
-        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ConfigFieldError(field, f"must be an integer {bounds}, got {value!r}")
-    return int(value)
 
 
 def _items(field: str, value) -> tuple:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Sample1D, as_sample
+from .data import Dataset, Sample1D, _integer, as_sample
 from .errors import DataValidationError
 
 
@@ -248,10 +248,8 @@ class ProjectionAngleSet:
 
     @classmethod
     def generate(cls, seed: int, count: int, pair: tuple[int, int] | None = None) -> "ProjectionAngleSet":
-        if count < 1:
-            raise DataValidationError("angle count must be >= 1")
-        if seed < 0:
-            raise DataValidationError("seed must be a nonnegative integer")
+        count = _integer("count", count, 1)
+        seed = _integer("seed", seed, 0)
         pairs = None if pair is None else np.array([[int(pair[0]), int(pair[1])]], dtype=object)
         return cls(_philox_angles(seed, count, pairs)[0], seed, pair)
 
@@ -321,7 +319,6 @@ def projected_ks_grid(p: Dataset, q: Dataset, i: int, j: int, grid_size: int = 1
     """
     _check_pair(p, i, j)
     _check_pair(q, i, j)
-    if grid_size < 1:
-        raise DataValidationError("grid size must be >= 1")
+    grid_size = _integer("grid_size", grid_size, 1)
     grid = (np.arange(grid_size) + 0.5) * (np.pi / grid_size)
     return float(np.mean(_projected_ks_values(p, q, i, j, grid)))

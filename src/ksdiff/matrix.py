@@ -5,6 +5,8 @@ build is deterministic for any worker count and any evaluation order. The
 "shared" policy reuses a single angle set, keyed on the master seed alone,
 for every pair. The angles of all pairs are drawn in one pass before the
 chunks run, and the chunk results are written back with one scatter.
+A matrix file is a provenance line followed by the entries as a dataset CSV
+table, read and written by the same code as a dataset CSV.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_name
+from .data import Dataset, _check_name, _check_same_columns, _integer, _read_table, _write_table
 from .errors import DataValidationError
 from .ks import ProjectionAngleSet, _ks_merged, _philox_angles, _project_rows, ks_empirical_columns
 
@@ -47,22 +49,16 @@ class EmpiricalKsMatrix:
     angle_policy: str
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DataValidationError(f"matrix must be square, got shape {arr.shape}")
+        arr = as_weight_matrix(self.entries)
         if arr.shape[0] < 1:
             raise DataValidationError("matrix must have at least one feature")
-        if not np.array_equal(arr, arr.T):
-            raise DataValidationError("matrix is not symmetric")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if np.any(arr > 1.0):
             raise DataValidationError("entry out of [0,1]")
         names = tuple(_check_name(str(n)) for n in self.names)
         if len(names) != arr.shape[0]:
             raise DataValidationError(f"{len(names)} names for a {arr.shape[0]}-feature matrix")
-        if self.num_angles < 1:
-            raise DataValidationError("angle count must be >= 1")
-        if self.master_seed < 0:
-            raise DataValidationError("seed must be a nonnegative integer")
+        _integer("num_angles", self.num_angles, 1)
+        _integer("master_seed", self.master_seed, 0)
         if self.angle_policy not in ANGLE_POLICIES:
             raise DataValidationError(f"unknown angle policy {self.angle_policy!r}")
         arr = arr.copy()
@@ -73,6 +69,22 @@ class EmpiricalKsMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+def as_weight_matrix(h) -> np.ndarray:
+    """Coerce a KS matrix or raw array into a validated symmetric nonnegative matrix."""
+    if isinstance(h, EmpiricalKsMatrix):
+        return h.entries
+    arr = np.asarray(h, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DataValidationError(f"weight matrix must be square, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DataValidationError("weight matrix contains non-finite entries")
+    if not np.array_equal(arr, arr.T):
+        raise DataValidationError("weight matrix is not symmetric")
+    if np.any(arr < 0.0):
+        raise DataValidationError("weight matrix has negative entries")
+    return arr
 
 
 def pair_angles(master_seed: int, num_angles: int, i: int, j: int, policy: str) -> ProjectionAngleSet:
@@ -99,16 +111,12 @@ def build_ks_matrix(
     entry (i, j) averages the KS statistic over the pair's projection angles.
     The result is identical for any ``jobs`` value.
     """
-    if p.names != q.names:
-        raise DataValidationError("datasets must share identical column names")
-    if num_angles < 1:
-        raise DataValidationError("angle count must be >= 1")
-    if master_seed < 0:
-        raise DataValidationError("seed must be a nonnegative integer")
+    _check_same_columns(p, q)
+    num_angles = _integer("num_angles", num_angles, 1)
+    master_seed = _integer("master_seed", master_seed, 0)
+    jobs = _integer("jobs", jobs, 1)
     if angle_policy not in ANGLE_POLICIES:
         raise DataValidationError(f"unknown angle policy {angle_policy!r}")
-    if jobs < 1:
-        raise DataValidationError("jobs must be >= 1")
 
     d = p.num_features
     h = np.zeros((d, d), dtype=np.float64)
@@ -153,41 +161,22 @@ def build_ks_matrix(
 
 
 def save_matrix(m: EmpiricalKsMatrix, path) -> None:
-    """Write a matrix file: provenance comment, name header, full-precision rows."""
+    """Write a matrix file: provenance comment, then the entries as a dataset CSV table."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# ksdiff-matrix L={m.num_angles} seed={m.master_seed} policy={m.angle_policy}\n")
-        fh.write(",".join(m.names) + "\n")
-        for row in m.entries:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        _write_table(fh, m.names, m.entries)
 
 
 def load_matrix(path) -> EmpiricalKsMatrix:
     """Read a matrix file back; the round trip through ``save_matrix`` is exact."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataValidationError(f"{path}: empty file")
-    meta = _META_RE.match(lines[0])
-    if meta is None:
-        raise DataValidationError(f"{path}: line 1: expected '# ksdiff-matrix L=<L> seed=<seed> policy=<policy>'")
-    num_angles, seed, policy = int(meta.group(1)), int(meta.group(2)), meta.group(3)
-    if len(lines) < 2:
-        raise DataValidationError(f"{path}: line 2: missing feature-name header")
-    names = [n.strip() for n in lines[1].split(",")]
-    d = len(names)
-    body = [row for row in lines[2:] if row.strip()]
-    if len(body) != d:
-        raise DataValidationError(f"{path}: expected {d} matrix rows, found {len(body)}")
-    entries = np.empty((d, d), dtype=np.float64)
-    for r, row in enumerate(body):
-        cells = row.split(",")
-        if len(cells) != d:
-            raise DataValidationError(f"{path}: line {r + 3}: expected {d} entries, got {len(cells)}")
-        try:
-            entries[r] = [float(c) for c in cells]
-        except ValueError:
-            raise DataValidationError(f"{path}: line {r + 3}: non-numeric entry") from None
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        meta = _META_RE.match(fh.readline().rstrip("\r\n"))
+        if meta is None:
+            raise DataValidationError(f"{path}: line 1: expected '# ksdiff-matrix L=<L> seed=<seed> policy=<policy>'")
+        names, entries = _read_table(fh, path, 2)
+    if len(entries) != len(names):
+        raise DataValidationError(f"{path}: expected {len(names)} matrix rows, found {len(entries)}")
     try:
-        return EmpiricalKsMatrix(entries, tuple(names), num_angles, seed, policy)
+        return EmpiricalKsMatrix(entries, names, int(meta.group(1)), int(meta.group(2)), meta.group(3))
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from None

@@ -22,8 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .data import _integer
 from .errors import DataValidationError, SolverLimitError
-from .matrix import EmpiricalKsMatrix
+from .matrix import as_weight_matrix
 
 DEFAULT_EXACT_LIMIT = 25
 
@@ -38,22 +39,6 @@ class SolverResult:
     objective: float
     method: str
     scores: np.ndarray | None = None
-
-
-def as_weight_matrix(h) -> np.ndarray:
-    """Coerce a KS matrix or raw array into a validated symmetric nonnegative matrix."""
-    if isinstance(h, EmpiricalKsMatrix):
-        return h.entries
-    arr = np.asarray(h, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DataValidationError(f"weight matrix must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DataValidationError("weight matrix contains non-finite entries")
-    if not np.array_equal(arr, arr.T):
-        raise DataValidationError("weight matrix is not symmetric")
-    if np.any(arr < 0.0):
-        raise DataValidationError("weight matrix has negative entries")
-    return arr
 
 
 def complement_objective(h, complement: Sequence[int]) -> float:
@@ -87,8 +72,7 @@ def greedy_k(h, k: int) -> SolverResult:
     """Greedily select D-k features; the complement of the selection has size k."""
     w = as_weight_matrix(h)
     d = w.shape[0]
-    if not 0 <= k <= d:
-        raise DataValidationError(f"k must be in [0, {d}], got {k}")
+    _integer("k", k, 0, d)
     order, _ = _peel(w, d - k)
     return SolverResult(tuple(order), complement_objective(w, set(range(d)) - set(order)), "greedy-k")
 
@@ -199,8 +183,7 @@ def exact_min(h, k: int, limit_d: int = DEFAULT_EXACT_LIMIT) -> SolverResult:
     d = w.shape[0]
     if d > limit_d:
         raise SolverLimitError(f"exact solver size limit: D={d} exceeds {limit_d}")
-    if not 0 <= k <= d:
-        raise DataValidationError(f"k must be in [0, {d}], got {k}")
+    _integer("k", k, 0, d)
     best = [sorted(set(range(d)) - set(_peel(w, d - k)[0]))]
 
     def take(leaves, values):

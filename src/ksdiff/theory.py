@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _finite, _integer
 from .errors import DataValidationError
 from .solvers import DEFAULT_EXACT_LIMIT, as_weight_matrix, exact_min, optimality_margin
 
@@ -75,7 +76,7 @@ def check_conditions(
     """
     w = as_weight_matrix(h)
     d = w.shape[0]
-    if tol < 0:
+    if _finite("tol", tol) < 0:
         raise DataValidationError("tolerance must be nonnegative")
     star = sorted(int(i) for i in set(s_star))
     if not star or star[0] < 0 or star[-1] >= d:
@@ -118,7 +119,7 @@ def sample_bound(k: int, margin: float, dim: int, epsilon: float) -> SampleBound
     distribution-dependent sample-size term exists but needs density bounds
     no data can supply; it is reported symbolically via ``omitted_term``.
     """
-    if margin <= 0:
+    if _finite("margin", margin) <= 0:
         raise DataValidationError("margin must be positive: the changed set is not uniquely identifiable")
     if not 0 < epsilon < 1:
         raise DataValidationError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -163,9 +164,9 @@ def recovery_trial(
     """
     w = as_weight_matrix(h)
     d = w.shape[0]
-    if trials < 1:
-        raise DataValidationError("trials must be >= 1")
-    if magnitude < 0:
+    _integer("trials", trials, 1)
+    _integer("seed", seed, 0)
+    if _finite("magnitude", magnitude) < 0:
         raise DataValidationError("magnitude must be nonnegative")
     star = frozenset(int(i) for i in s_star)
     margin = optimality_margin(w, star, k, limit_d=limit_d)

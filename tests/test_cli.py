@@ -71,12 +71,18 @@ class TestSelect:
             path = tmp_path / f"{side}.csv"
             save_dataset_csv(dataset_from_array(rng.normal(size=(50, 4)) * 1e300), path)
             paths.append(str(path))
-        out = tmp_path / "r.json"
-        with np.errstate(all="ignore"):
-            code = main(["select", "--p", paths[0], "--q", paths[1], "--method", "mt", "--seed", "1", "--out", str(out)])
-        assert code == 2
-        assert "method 'mt' produced non-finite scores" in capsys.readouterr().err
-        assert not out.exists()
+        expected = {
+            "mt": "method 'mt' produced non-finite scores",
+            "ide09": "method 'ide09' produced non-finite scores",
+            "hara15": "method 'hara15' produced non-finite weights: the covariances overflow",
+        }
+        for method, message in expected.items():
+            out = tmp_path / f"{method}.json"
+            args = ["select", "--p", paths[0], "--q", paths[1], "--method", method, "--seed", "1", "--out", str(out)]
+            assert main(args) == 2
+            # the whole of stderr: no numpy warning precedes the message
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
     def test_missing_file_exit_2(self, tmp_path):
         code = main([
@@ -242,6 +248,15 @@ class TestCheckCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["margin"] == 1.0
         assert report["sufficient_holds"]["2"] is True
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exit_2(self, tmp_path, capsys, tol):
+        m = EmpiricalKsMatrix(np.diag([0.0, 0.0, 1.0]), ("a", "b", "c"), 10, 4, "per-pair")
+        path = tmp_path / "h.csv"
+        save_matrix(m, path)
+        assert main(["check", "--matrix", str(path), "--s-star", "2", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tol must be a finite number" in captured.err
 
     def test_conflicting_k_exit_2(self, tmp_path):
         m = EmpiricalKsMatrix(np.diag([0.0, 0.0, 1.0]), ("a", "b", "c"), 10, 4, "per-pair")

@@ -8,6 +8,8 @@ from ksdiff import (
     ExperimentConfig,
     GroundTruth,
     auroc,
+    dataset_from_array,
+    hara15_score,
     repetition_seed,
     run_experiment,
 )
@@ -153,6 +155,15 @@ class TestRunner:
         errors = [r.error for r in reports[0].records]
         assert errors == ["method 'proposed' produced non-finite scores"] * 2
         assert np.isnan(reports[0].mean_auroc)
+
+    def test_overflowing_hara15_recorded_as_failure(self):
+        def scaled(ds):
+            return dataset_from_array(ds.values * 1e300, ds.names)
+
+        registry = {"hara15": lambda p, q, seed: hara15_score(scaled(p), scaled(q))}
+        reports = run_experiment(_tiny_config(methods=("hara15",)), registry=registry)
+        errors = [r.error for r in reports[0].records]
+        assert errors == ["method 'hara15' produced non-finite weights: the covariances overflow"] * 2
 
 
 class TestWriters:

@@ -203,6 +203,12 @@ class TestAngleSet:
         generated = ProjectionAngleSet.generate(seed, count, pair=pairs[0]).angles
         assert generated.tobytes() == expected[0].tobytes()
 
+    def test_non_integer_count_or_seed_rejected(self):
+        with pytest.raises(DataValidationError, match="count must be an integer"):
+            ProjectionAngleSet.generate(1, 4.0)
+        with pytest.raises(DataValidationError, match="seed must be an integer"):
+            ProjectionAngleSet.generate(1.5, 4)
+
     def test_pair_indices_beyond_one_word_rejected(self):
         with pytest.raises(DataValidationError, match="pair indices"):
             ProjectionAngleSet.generate(1, 4, pair=(2**32, 0))

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ksdiff import (
     DataValidationError,
@@ -7,6 +12,7 @@ from ksdiff import (
     build_ks_matrix,
     dataset_from_array,
     ks_empirical,
+    load_dataset_csv,
     load_matrix,
     pair_angles,
     save_matrix,
@@ -100,6 +106,16 @@ class TestBuild:
         with pytest.raises(DataValidationError):
             build_ks_matrix(p, q, 10, 1, angle_policy="zigzag")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("jobs", 1.5), ("jobs", True), ("num_angles", 10.0), ("master_seed", 1.5)],
+    )
+    def test_non_integer_parameters_rejected(self, field, value):
+        p, q = _random_pair(np.random.default_rng(3), d=2)
+        args = {"num_angles": 10, "master_seed": 1, field: value}
+        with pytest.raises(DataValidationError, match=f"{field} must be an integer"):
+            build_ks_matrix(p, q, **args)
+
 
 class TestFileRoundTrip:
     def test_round_trip_is_exact(self, tmp_path):
@@ -146,6 +162,75 @@ class TestFileRoundTrip:
         with pytest.raises(DataValidationError, match="line 1"):
             load_matrix(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "# ksdiff-matrix L=10 seed=3 policy=shared\na,b\n0.0,0.5\n0.5,0.0\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        with_bom, without = load_matrix(bom), load_matrix(plain)
+        assert with_bom.entries.tobytes() == without.entries.tobytes()
+        assert with_bom.names == without.names == ("a", "b")
+        assert (with_bom.num_angles, with_bom.master_seed, with_bom.angle_policy) == (10, 3, "shared")
+
+    def test_non_finite_entry_names_line_and_column(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("# ksdiff-matrix L=10 seed=0 policy=per-pair\na,b\n0.0,0.5\n\n0.5,nan\n")
+        with pytest.raises(DataValidationError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == f"{path}: line 5: non-finite value in column 'b'"
+
+    def test_missing_header_names_line_2(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("# ksdiff-matrix L=10 seed=0 policy=per-pair\n")
+        with pytest.raises(DataValidationError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == f"{path}: line 2: missing feature-name header"
+
+    def test_too_few_rows_reported_as_row_count(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("# ksdiff-matrix L=10 seed=0 policy=per-pair\na,b\n0.0,0.5\n")
+        with pytest.raises(DataValidationError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == f"{path}: expected 2 matrix rows, found 1"
+
+
+_EDGE_ENTRIES = (-0.0, 5e-324, 0.0, 1.0)
+
+
+@st.composite
+def _ks_matrices(draw):
+    d = draw(st.integers(1, 6))
+    entry = st.one_of(st.sampled_from(_EDGE_ENTRIES), st.floats(0.0, 1.0))
+    upper = np.triu(np.array(draw(st.lists(entry, min_size=d * d, max_size=d * d))).reshape(d, d))
+    entries = upper + np.triu(upper, 1).T
+    num_angles = draw(st.integers(1, 1000))
+    seed = draw(st.integers(0, 2**70))
+    return EmpiricalKsMatrix(entries, tuple(f"f{i}" for i in range(d)), num_angles, seed, "per-pair")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ks_matrices())
+@example(EmpiricalKsMatrix(np.array([[-0.0, 5e-324], [5e-324, 1.0]]), ("a", "b"), 1, 0, "shared"))
+@example(
+    EmpiricalKsMatrix(
+        np.array([[0.0, 1.0, -0.0], [1.0, 5e-324, 0.0], [-0.0, 0.0, 1.0]]), ("a", "b", "c"), 7, 2**64 - 1, "per-pair"
+    )
+)
+def test_matrix_file_is_provenance_line_plus_dataset_csv(m):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, body = Path(tmp) / "h.csv", Path(tmp) / "body.csv"
+        save_matrix(m, path)
+        back = load_matrix(path)
+        assert back.entries.tobytes() == m.entries.tobytes()
+        assert (back.names, back.num_angles, back.master_seed, back.angle_policy) == (
+            m.names, m.num_angles, m.master_seed, m.angle_policy,
+        )
+        body.write_bytes(path.read_bytes().split(b"\n", 1)[1])
+        table = load_dataset_csv(body)
+        assert table.names == m.names
+        assert table.values.tobytes() == m.entries.tobytes()
+
 
 class TestMatrixType:
     def test_validates_symmetry_and_range(self):
@@ -153,6 +238,12 @@ class TestMatrixType:
             EmpiricalKsMatrix(np.array([[0.0, 0.1], [0.2, 0.0]]), ("a", "b"), 1, 0, "per-pair")
         with pytest.raises(DataValidationError, match=r"out of \[0,1\]"):
             EmpiricalKsMatrix(np.array([[2.0]]), ("a",), 1, 0, "per-pair")
+
+    def test_rejects_non_integer_provenance(self):
+        with pytest.raises(DataValidationError, match="num_angles must be an integer"):
+            EmpiricalKsMatrix(np.zeros((1, 1)), ("a",), 10.0, 0, "per-pair")
+        with pytest.raises(DataValidationError, match="master_seed must be an integer"):
+            EmpiricalKsMatrix(np.zeros((1, 1)), ("a",), 10, 1.5, "per-pair")
 
 
 def test_diagonal_deviation_rate_shrinks_with_sample_size():

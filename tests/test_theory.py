@@ -71,6 +71,11 @@ class TestCheckConditions:
         with pytest.raises(DataValidationError):
             check_conditions(np.zeros((3, 3)), [5])
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 10**400, "1e-9"])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(DataValidationError, match="tol must be a finite number"):
+            check_conditions(np.diag([0.0, 0.0, 1.0]), [2], tol=tol)
+
     def test_mixture_example_satisfies_conditions_at_scale(self):
         p, q, truth = gen_example2(10_000, 606)
         h = build_ks_matrix(p, q, 10, 606)
@@ -107,6 +112,11 @@ class TestSampleBound:
         with pytest.raises(DataValidationError, match="uniquely identifiable"):
             sample_bound(1, 0.0, 10, 0.05)
 
+    @pytest.mark.parametrize("margin", [math.nan, math.inf])
+    def test_non_finite_margin_rejected(self, margin):
+        with pytest.raises(DataValidationError, match="margin must be a finite number"):
+            sample_bound(1, margin, 10, 0.05)
+
     def test_single_feature_needs_no_angles(self):
         assert sample_bound(1, 0.5, 1, 0.05).l_required == 1
 
@@ -139,6 +149,16 @@ class TestRecoveryTrial:
         result = recovery_trial(h, [2], 2, magnitude=10 * margin, trials=200, seed=3)
         assert not result.within_guarantee
         assert result.success_rate < 1.0
+
+    @pytest.mark.parametrize("magnitude", [math.nan, math.inf])
+    def test_non_finite_magnitude_rejected(self, magnitude):
+        with pytest.raises(DataValidationError, match="magnitude must be a finite number"):
+            recovery_trial(np.diag([0.0, 0.0, 1.0]), [2], 2, magnitude=magnitude, trials=2, seed=1)
+
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_non_integer_or_negative_seed_rejected(self, seed):
+        with pytest.raises(DataValidationError, match="seed must be an integer"):
+            recovery_trial(np.diag([0.0, 0.0, 1.0]), [2], 2, magnitude=0.1, trials=2, seed=seed)
 
     def test_flags_magnitude_beyond_bound(self):
         rng = np.random.default_rng(53)
