@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, _check_same_columns
+from .data import Dataset, _check_same_columns, _integer
 from .errors import DataValidationError, KsdiffError
 from .solvers import greedy_score, greedy_score_objective
 
@@ -59,7 +59,8 @@ def estimate_precision_cv(ds: Dataset, seed: int | None = None) -> tuple[np.ndar
         raise DataValidationError(f"precision estimation needs at least 3 rows, got {n}")
     order = np.arange(n)
     if seed is not None:
-        order = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).permutation(n)
+        seed_seq = np.random.SeedSequence(_integer("seed", seed, 0))
+        order = np.random.Generator(np.random.Philox(seed_seq)).permutation(n)
     folds = np.array_split(order, 3)
     best_ll, best_kappa = -np.inf, float(KAPPA_GRID[0])
     for kappa in KAPPA_GRID:

@@ -133,7 +133,8 @@ class ExperimentConfig:
 
 def repetition_seed(master_seed: int, n: int, rep: int) -> int:
     """Seed of one (sample size, repetition) cell; shared by every method."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(int(n), int(rep)))
+    spawn_key = (_integer("n", n, 0), _integer("rep", rep, 0))
+    ss = np.random.SeedSequence(_integer("master_seed", master_seed, 0), spawn_key=spawn_key)
     return int(ss.generate_state(1, np.uint64)[0])
 
 

@@ -16,11 +16,17 @@ based, so the seed hash and the cipher are computed for all pairs at once as
 uint32/uint64 array arithmetic, with no generator object per pair.
 
 The kernel works in row layout: each instance is one contiguous row of a
-(K, N+M) pooled array, sample a in the first N columns. Projections are made
-in that layout, so pooling them copies whole rows instead of transposing. A
-gap between the EDFs is only valid at the end of a run of equal values, and
-the mask that zeroes the other positions is needed only in rows whose largest
-gap sits at such a position: zeroing gaps cannot lower a maximum at a run end.
+(K, N+M) array, sample a in the first N columns. Projections are made in that
+layout, so pooling them copies whole rows instead of transposing. A gap
+between the EDFs is only valid at the end of a run of equal values.
+
+Each half of a row is sorted by numpy, and the statistic is found by one
+merge scan in C (``ks_scan.c``). On the first kernel call, not at import, the
+source is compiled with the local ``cc`` into ``$XDG_CACHE_HOME/ksdiff``, or
+``~/.cache/ksdiff`` when that is unset, and later processes load it from
+there. Without a compiler or a writable cache, and for samples with
+``N*M >= 2**50``, the numpy kernel ``_ks_merged_numpy`` runs instead; both
+return the same bytes.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .data import Dataset, Sample1D, _integer, as_sample
 from .errors import DataValidationError
 
@@ -41,19 +48,46 @@ def edf_eval(sample, x: float) -> float:
     return float(np.searchsorted(s.sorted_values, x, side="right")) / len(s)
 
 
+# below this product of the sample sizes the integer gap |i*m - j*n| orders
+# the float gaps |i/n - j/m| of any two positions whose integer gaps differ
+_NATIVE_LIMIT = 2**50
+
+
 def _ks_merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise two-sample KS via a merged scan of both sorted samples.
+    """Column-wise two-sample KS: both samples sorted by numpy, then one C scan.
 
     ``a`` is (N, K), ``b`` is (M, K); column k of each holds one instance.
-    Both are copied into one C-contiguous (K, N+M) row-layout array, sample a
-    first; when they are transposed views of row-layout arrays (as the
-    projections are) the copy moves whole rows. After sorting each row, the
-    running per-sample counts give both EDFs. A gap is only a valid EDF
-    difference at the end of a run of equal values, so positions followed by
-    an equal value are masked out, but only in rows whose argmax is such a
-    position: elsewhere the argmax is a run end, and masking, which only
-    zeroes gaps, leaves that maximum unchanged. The last position of a row is
-    always a run end.
+    Row k of one block holds instance k's sorted a, a slot the scan writes
+    its stop value to, sorted b and one more such slot. The result is the
+    same, bit for bit, as that of ``_ks_merged_numpy``, which runs instead
+    when the native scan is unavailable or ``N*M >= 2**50``.
+    """
+    n, m, k = a.shape[0], b.shape[0], a.shape[1]
+    scan = _native.ks_scan() if 0 < n * m < _NATIVE_LIMIT else None
+    if scan is None:
+        return _ks_merged_numpy(a, b)
+    block = np.empty((k, n + m + 2))
+    block[:, :n] = a.T
+    block[:, n + 1 : -1] = b.T
+    block[:, :n].sort(axis=1)
+    block[:, n + 1 : -1].sort(axis=1)
+    out = np.empty(k)
+    scan(block.ctypes.data, n + m + 2, n, m, k, out.ctypes.data)
+    return out
+
+
+def _ks_merged_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise two-sample KS in numpy: the fallback of ``_ks_merged``.
+
+    Same call form and result. Both samples are copied into one C-contiguous
+    (K, N+M) row-layout array, sample a first; when they are transposed views
+    of row-layout arrays (as the projections are) the copy moves whole rows.
+    After sorting each row, the running per-sample counts give both EDFs. A
+    gap is only a valid EDF difference at the end of a run of equal values,
+    so positions followed by an equal value are masked out, but only in rows
+    whose argmax is such a position: elsewhere the argmax is a run end, and
+    masking, which only zeroes gaps, leaves that maximum unchanged. The last
+    position of a row is always a run end.
     """
     n, m = a.shape[0], b.shape[0]
     k, total = a.shape[1], n + m
@@ -284,7 +318,9 @@ def _project_rows(
     rows *= cos[:, None]
     other = xt[cols_j]
     other *= sin[:, None]
-    rows += other
+    # a sum beyond the float range is +-inf, which both kernels rank exactly
+    with np.errstate(over="ignore"):
+        rows += other
     return rows
 
 

@@ -207,6 +207,7 @@ def optimality_margin(h, selected, k: int, limit_d: int = DEFAULT_EXACT_LIMIT) -
     d = w.shape[0]
     if d > limit_d:
         raise SolverLimitError(f"margin enumeration size limit: D={d} exceeds {limit_d}")
+    _integer("k", k, 0, d)
     star = frozenset(int(i) for i in selected)
     if not star <= set(range(d)):
         raise DataValidationError("selected features out of range")

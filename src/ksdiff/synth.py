@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, dataset_from_array, default_names
+from .data import Dataset, _integer, dataset_from_array, default_names
 from .errors import DataValidationError
 
 FEATURE_COUNT = 20
@@ -108,8 +108,7 @@ def gen_example1(n: int, seed: int) -> tuple[Dataset, Dataset, GroundTruth]:
     feature 0's variance and all of its couplings while leaving the joint
     law of the remaining features untouched.
     """
-    if n < 2:
-        raise DataValidationError(f"need at least 2 rows, got {n}")
+    n, seed = _integer("n", n, 2), _integer("seed", seed, 0)
     sigma, sigma_q = example1_population(seed)
     _, data_ss = np.random.SeedSequence(seed).spawn(2)
     rng = _rng(data_ss)
@@ -138,8 +137,7 @@ def gen_example2(n: int, seed: int) -> tuple[Dataset, Dataset, GroundTruth]:
     the shape of its distribution differs. Other features pass the latent
     Gaussian through untouched.
     """
-    if n < 2:
-        raise DataValidationError(f"need at least 2 rows, got {n}")
+    n, seed = _integer("n", n, 2), _integer("seed", seed, 0)
     cov_ss, data_ss = np.random.SeedSequence(seed).spawn(2)
     sigma = _base_covariance(_rng(cov_ss))
     rng = _rng(data_ss)

@@ -123,8 +123,7 @@ def sample_bound(k: int, margin: float, dim: int, epsilon: float) -> SampleBound
         raise DataValidationError("margin must be positive: the changed set is not uniquely identifiable")
     if not 0 < epsilon < 1:
         raise DataValidationError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if k < 1 or dim < 1:
-        raise DataValidationError("k and dim must be >= 1")
+    k, dim = _integer("k", k, 1), _integer("dim", dim, 1)
     lead = 8.0 * k**4 / margin**2
     n_required = math.ceil(lead * math.log(12.0 * dim / epsilon))
     if dim >= 2:

@@ -84,6 +84,19 @@ class TestSelect:
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists()
 
+    def test_projection_overflow_is_silent(self, tmp_path, capsys):
+        # finite values whose projected sums exceed the float range become
+        # +-inf, which the KS kernel ranks exactly, so no warning reaches stderr
+        rng = np.random.default_rng(4)
+        paths = [tmp_path / "p.csv", tmp_path / "q.csv"]
+        for path in paths:
+            save_dataset_csv(dataset_from_array(rng.uniform(0.9e308, 1.7e308, size=(50, 3))), path)
+        out = tmp_path / "r.json"
+        code = main(["select", "--p", str(paths[0]), "--q", str(paths[1]), "--seed", "1", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert all(0.0 <= row["score"] for row in json.loads(out.read_text())["ranking"])
+
     def test_missing_file_exit_2(self, tmp_path):
         code = main([
             "select", "--p", str(tmp_path / "none.csv"), "--q", str(tmp_path / "none.csv"),

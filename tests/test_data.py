@@ -6,10 +6,17 @@ from ksdiff import (
     Dataset,
     Sample1D,
     dataset_from_array,
+    estimate_precision_cv,
+    gen_example1,
+    gen_example2,
     load_dataset_csv,
+    optimality_margin,
+    repetition_seed,
+    sample_bound,
     save_dataset_csv,
     standardize,
 )
+from ksdiff.errors import ConfigFieldError
 
 
 class TestSample1D:
@@ -129,3 +136,28 @@ def test_standardize_rejects_constant_column():
     ds = dataset_from_array(np.column_stack([np.ones(5), np.arange(5.0)]))
     with pytest.raises(DataValidationError, match="x1"):
         standardize(ds)
+
+
+_UNIT_DATASET = dataset_from_array(np.random.default_rng(2).normal(size=(30, 3)))
+
+
+@pytest.mark.parametrize(
+    "function, args, field",
+    [
+        (gen_example1, (100.5, 1), "n"),
+        (gen_example1, (100, 1.5), "seed"),
+        (gen_example2, (100, -1), "seed"),
+        (gen_example2, (True, 1), "n"),
+        (repetition_seed, (1.5, 10, 1), "master_seed"),
+        (repetition_seed, (1, 10.0, 1), "n"),
+        (estimate_precision_cv, (_UNIT_DATASET, 1.5), "seed"),
+        (sample_bound, (1.5, 0.5, 10, 0.1), "k"),
+        (sample_bound, (2, 0.5, 10.0, 0.1), "dim"),
+        (optimality_margin, (np.zeros((3, 3)), [2], 2.0), "k"),
+    ],
+    ids=lambda value: value.__name__ if callable(value) else None,
+)
+def test_integer_parameters_rejected_with_field_named(function, args, field):
+    with pytest.raises(ConfigFieldError, match=f"^{field} must be an integer") as info:
+        function(*args)
+    assert info.value.field == field

@@ -1,3 +1,9 @@
+import logging
+import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +13,7 @@ from scipy import stats
 from ksdiff import (
     DataValidationError,
     ProjectionAngleSet,
+    build_ks_matrix,
     dataset_from_array,
     edf_eval,
     ks_empirical,
@@ -16,7 +23,8 @@ from ksdiff import (
     projected_ks_grid,
 )
 
-from ksdiff.ks import _philox_angles
+from ksdiff import _native
+from ksdiff.ks import _ks_merged, _ks_merged_numpy, _philox_angles
 
 from conftest import ks_jump_oracle, random_sample_pair
 
@@ -95,12 +103,14 @@ class TestKsEmpirical:
 
 
 # column kinds for the multi-row kernel: distinct values (no ties anywhere in
-# the pooled column), small integers (long runs of ties) and signed zeros
-# (-0.0 == 0.0, so they tie with each other)
+# the pooled column), small integers (long runs of ties), signed zeros
+# (-0.0 == 0.0, so they tie with each other) and infinities, which projections
+# of finite values beyond the float range become
 _COLUMN_VALUES = {
     "continuous": st.floats(-1e6, 1e6, allow_nan=False),
     "integer": st.integers(0, 3).map(float),
     "signed-zero": st.sampled_from([-0.0, 0.0, 1.0]),
+    "infinite": st.sampled_from([-np.inf, -1.0, 0.0, 1.0, np.inf]),
 }
 
 
@@ -128,6 +138,114 @@ class TestKsEmpiricalColumns:
         assert values.shape == (a.shape[1],)
         for col in range(a.shape[1]):
             assert values[col] == ks_jump_oracle(a[:, col], b[:, col])
+
+
+def _columns(a, b):
+    return np.array(a, dtype=np.float64)[:, None], np.array(b, dtype=np.float64)[:, None]
+
+
+class TestNativeKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_mixed_column_pair())
+    # two run ends share the largest integer gap, and their float gaps differ
+    # by one ulp: 0.25 at one and 0.24999999999999994 at the other
+    @example(_columns([3, 3, 0, 1, 0, 2, 1, 3, 0, 1, 0, 0], [0, 0, 2, 0, 2, 0]))
+    # +inf in both samples: a scan that relies on a +inf pad to stop takes the pad
+    @example(_columns([np.inf, 1.0], [np.inf]))
+    @example(_columns([np.inf, np.inf], [-np.inf, 0.0, np.inf]))
+    def test_native_scan_equals_numpy_kernel_bytes(self, pair):
+        a, b = pair
+        if _native.ks_scan() is None:
+            pytest.skip("the native kernel could not be built")
+        assert _ks_merged(a, b).tobytes() == _ks_merged_numpy(a, b).tobytes()
+
+    def test_large_gaussian_rows_equal_numpy_kernel_bytes(self):
+        rng = np.random.default_rng(8)
+        rows = np.round(rng.normal(size=(7, 3001)), 2)
+        a, b = rows[:, :1400].T, rows[:, 1400:].T
+        assert _ks_merged(a, b).tobytes() == _ks_merged_numpy(a, b).tobytes()
+
+
+def _fresh_loader(monkeypatch, cache_home):
+    """Make the next kernel call load the scan again, caching under ``cache_home``."""
+    monkeypatch.setattr(_native, "_tried", False)
+    monkeypatch.setattr(_native, "_scan", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+
+
+def _no_compiler(*args, **kwargs):
+    raise FileNotFoundError("cc")
+
+
+class TestNativeLoader:
+    def test_without_compiler_matrix_is_byte_identical_and_silent(self, monkeypatch, tmp_path, caplog):
+        rng = np.random.default_rng(9)
+        p = dataset_from_array(np.round(rng.normal(size=(90, 4)), 1))
+        q = dataset_from_array(np.round(rng.normal(size=(70, 4)), 1))
+        expected = build_ks_matrix(p, q, 6, 11).entries
+        _fresh_loader(monkeypatch, tmp_path)
+        monkeypatch.setattr(_native.subprocess, "run", _no_compiler)
+        with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="ksdiff"):
+            warnings.simplefilter("error")
+            fallback = build_ks_matrix(p, q, 6, 11).entries
+        assert _native.ks_scan() is None
+        assert fallback.tobytes() == expected.tobytes()
+        # tried once per process, so logged once
+        assert [r.levelno for r in caplog.records if r.name == "ksdiff"] == [logging.DEBUG]
+
+    def test_warm_cache_does_not_run_compiler(self, monkeypatch, tmp_path):
+        _fresh_loader(monkeypatch, tmp_path)
+        if _native.ks_scan() is None:
+            pytest.skip("the native kernel could not be built")
+        cache = tmp_path / "ksdiff"
+        assert cache.stat().st_mode & 0o777 == 0o700
+        assert len(list(cache.glob("ks_scan-*.so"))) == 1
+        _fresh_loader(monkeypatch, tmp_path)
+        monkeypatch.setattr(_native.subprocess, "run", _no_compiler)
+        assert _native.ks_scan() is not None
+
+    def test_concurrent_first_calls_compile_once(self, monkeypatch, tmp_path):
+        a, b = _columns(np.arange(40.0) % 7, np.arange(30.0) % 5)
+        expected = _ks_merged_numpy(a, b).tobytes()
+        _fresh_loader(monkeypatch, tmp_path)
+        compiles = []
+        run = _native.subprocess.run
+
+        def counted_run(*args, **kwargs):
+            compiles.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(_native.subprocess, "run", counted_run)
+        threads = 8
+        barrier = threading.Barrier(threads)
+
+        def first_call(_):
+            barrier.wait(timeout=60)
+            return _ks_merged(a, b).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(first_call, range(threads)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * threads
+        assert len(compiles) == 1
+
+    def test_unwritable_cache_falls_back_to_numpy(self, monkeypatch, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        _fresh_loader(monkeypatch, blocker)
+        a, b = _columns([1.0, 2.0, 2.0, np.inf], [2.0, 5.0])
+        assert ks_empirical_columns(a, b).tobytes() == _ks_merged_numpy(a, b).tobytes()
+        assert _native.ks_scan() is None
+
+    def test_cache_writable_by_others_is_not_loaded(self, monkeypatch, tmp_path):
+        (tmp_path / "ksdiff").mkdir(mode=0o777)
+        (tmp_path / "ksdiff").chmod(0o777)
+        _fresh_loader(monkeypatch, tmp_path)
+        assert _native.ks_scan() is None
 
 
 class TestProjection:
