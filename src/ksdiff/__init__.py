@@ -16,7 +16,6 @@ from .baselines import (
 )
 from .data import (
     Dataset,
-    Sample1D,
     dataset_from_array,
     default_names,
     load_dataset_csv,
@@ -38,7 +37,6 @@ from .ks import (
     edf_eval,
     ks_empirical,
     ks_empirical_columns,
-    project_pair,
     projected_ks,
     projected_ks_grid,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "PerturbationSpec",
     "ProjectionAngleSet",
     "RecoveryTrialResult",
-    "Sample1D",
     "SampleBound",
     "SolverLimitError",
     "SolverResult",
@@ -120,7 +117,6 @@ __all__ = [
     "optimality_margin",
     "pair_angles",
     "perturb",
-    "project_pair",
     "projected_ks",
     "projected_ks_grid",
     "proposed_score",

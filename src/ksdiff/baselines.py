@@ -117,11 +117,10 @@ def mt_score(p: Dataset, q: Dataset, seed: int | None = None) -> np.ndarray:
     trace misfit whenever that feature stays in the complement.
     """
     _check_same_columns(p, q)
-    mean_p, _ = _mean_cov(p.values)
+    mean_p, cov_p = _mean_cov(p.values)
     _, kappa_p = estimate_precision_cv(p, seed)
     centered_q = q.values - mean_p
     gamma = _sym(centered_q.T @ centered_q / q.num_rows)
-    _, cov_p = _mean_cov(p.values)
     c = cov_p + kappa_p * np.eye(p.num_features)
     return _mt_scores_from(gamma, c)
 
@@ -169,8 +168,6 @@ def ide09_scores_from_precisions(
 def ide09_score(p: Dataset, q: Dataset, seed: int | None = None) -> np.ndarray:
     """Partitioned-precision change score per feature (max over both directions)."""
     _check_same_columns(p, q)
-    if p.num_features < 2:
-        raise DataValidationError("partitioned-precision scoring needs at least 2 features")
     _, cov_p = _mean_cov(p.values)
     _, cov_q = _mean_cov(q.values)
     prec_p, kappa_p = estimate_precision_cv(p, seed)
@@ -194,11 +191,11 @@ def hara15_matrix(p: Dataset, q: Dataset, mode: str = "covariance", seed: int | 
         b, _ = estimate_precision_cv(q, seed)
     else:
         raise DataValidationError(f"unknown mode {mode!r}, expected 'covariance' or 'precision'")
+    # both inputs are exactly symmetric, so their difference is too
     diff = np.abs(a - b)
     if not np.all(np.isfinite(diff)):
         raise DataValidationError("method 'hara15' produced non-finite weights: the covariances overflow")
-    upper = np.triu(diff)
-    return upper + np.triu(diff, 1).T
+    return diff
 
 
 def hara15_score(p: Dataset, q: Dataset, mode: str = "covariance", seed: int | None = None) -> np.ndarray:

@@ -1,9 +1,12 @@
-"""Tabular sample containers, the table text format and the parameter checks.
+"""The dataset container, the table text format and the parameter checks.
 
 A dataset is an N x D matrix of finite reals with named feature columns.
 Indices are 0-based throughout; column names are display labels only.
 A table (a name header, then one row of decimals per line) is read and
 written here for dataset CSVs and, past their provenance line, matrix files.
+Every integer parameter and feature index of the library passes through
+``_integer``, with the range [0, D-1] for an index when D is known, and
+every real parameter through ``_finite``; neither coerces.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ def _integer(field: str, value, low: int, high: int | None = None) -> int:
     integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if not integral or value < low or (high is not None and value > high):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ConfigFieldError(field, f"must be an integer {bounds}, got {value!r}")
+        reason = " (out of range)" if integral else ""
+        raise ConfigFieldError(field, f"must be an integer {bounds}, got {value!r}{reason}")
     return int(value)
 
 
@@ -42,43 +46,6 @@ def _finite(field: str, value) -> float:
     if not (real and -sys.float_info.max <= value <= sys.float_info.max):
         raise ConfigFieldError(field, f"must be a finite number, got {value!r}")
     return float(value)
-
-
-@dataclass(frozen=True)
-class Sample1D:
-    """One-dimensional sample of finite reals, optionally known to be sorted."""
-
-    values: np.ndarray
-    is_sorted: bool = False
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise DataValidationError(f"sample must be 1-D, got shape {arr.shape}")
-        if arr.size == 0:
-            raise DataValidationError("empty sample")
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise DataValidationError(f"sample contains non-finite value at position {bad[0]}")
-        if self.is_sorted and np.any(arr[1:] < arr[:-1]):
-            raise DataValidationError("sample marked sorted but is not nondecreasing")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @property
-    def sorted_values(self) -> np.ndarray:
-        return self.values if self.is_sorted else np.sort(self.values)
-
-
-def as_sample(values) -> Sample1D:
-    """Coerce an array-like (or pass through a Sample1D) into a validated sample."""
-    if isinstance(values, Sample1D):
-        return values
-    return Sample1D(np.asarray(values, dtype=np.float64))
 
 
 @dataclass(frozen=True)

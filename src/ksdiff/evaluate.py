@@ -25,14 +25,18 @@ from .synth import GENERATORS, GroundTruth
 
 
 def auroc(scores, truth) -> float:
-    """Probability that a changed feature scores above an unchanged one (ties half)."""
+    """Probability that a changed feature scores above an unchanged one (ties half).
+
+    NaN or infinite scores are rejected, not ranked.
+    """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:
         raise DataValidationError(f"scores must be 1-D, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise DataValidationError("scores must be finite to be ranked")
     d = s.size
-    changed = truth.changed if isinstance(truth, GroundTruth) else frozenset(int(i) for i in truth)
-    if any(i < 0 or i >= d for i in changed):
-        raise DataValidationError(f"ground truth indices out of range for {d} features")
+    changed = truth.changed if isinstance(truth, GroundTruth) else truth
+    changed = frozenset(_integer("truth", i, 0, d - 1) for i in changed)
     if not 1 <= len(changed) < d:
         raise DataValidationError("degenerate ground truth: need both changed and unchanged features")
     mask = np.zeros(d, dtype=bool)

@@ -27,6 +27,11 @@ source is compiled with the local ``cc`` into ``$XDG_CACHE_HOME/ksdiff``, or
 there. Without a compiler or a writable cache, and for samples with
 ``N*M >= 2**50``, the numpy kernel ``_ks_merged_numpy`` runs instead; both
 return the same bytes.
+
+Each input contract has one check here: ``_sample`` for a 1-D sample
+(1-D, non-empty, finite), ``_angles`` for projection angles (in [0, pi),
+NaN rejected) and ``data._integer`` for feature and pair indices.
+``_project_rows`` is the one projection.
 """
 
 from __future__ import annotations
@@ -36,16 +41,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .data import Dataset, Sample1D, _integer, as_sample
+from .data import Dataset, _finite, _integer
 from .errors import DataValidationError
+
+
+def _sample(values) -> np.ndarray:
+    """``values`` as a float array, rejected unless 1-D, non-empty and finite."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise DataValidationError(f"sample must be 1-D, got shape {arr.shape}")
+    if arr.size == 0:
+        raise DataValidationError("empty sample")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise DataValidationError(f"sample contains non-finite value at position {bad[0]}")
+    return arr
 
 
 def edf_eval(sample, x: float) -> float:
     """Fraction of sample values <= x (right-continuous EDF)."""
-    s = as_sample(sample)
-    if not np.isfinite(x):
-        raise DataValidationError(f"EDF argument must be finite, got {x}")
-    return float(np.searchsorted(s.sorted_values, x, side="right")) / len(s)
+    s = np.sort(_sample(sample))
+    x = _finite("x", x)
+    return float(np.searchsorted(s, x, side="right")) / s.size
 
 
 # below this product of the sample sizes the integer gap |i*m - j*n| orders
@@ -132,8 +149,8 @@ def ks_empirical(p, q) -> float:
     Equals ``max_x |EDF_p(x) - EDF_q(x)|``; the maximum is taken over the
     union of both samples' values, which attains the supremum.
     """
-    pv = as_sample(p).values
-    qv = as_sample(q).values
+    pv = _sample(p)
+    qv = _sample(q)
     return float(_ks_merged(pv[:, None], qv[:, None])[0])
 
 
@@ -220,18 +237,17 @@ def _philox_angles(seed: int, count: int, pairs: np.ndarray | None = None) -> np
     """Angle table of ``Generator(Philox(SeedSequence(seed, spawn_key=pair))).uniform(0, pi, count)``.
 
     Row r holds the ``count`` angles of ``pairs[r]``, a (P, 2) array of
-    feature indices; with ``pairs=None`` the table has one row, drawn with no
-    spawn key. Philox is counter based, so all rows are computed at once:
-    numpy increments the counter before each four-word block, so block b
-    (from 0) encrypts counter ``b + 1``, and each word x becomes the angle
-    ``pi * ((x >> 11) * 2**-53)``. Every value equals numpy's bit for bit.
+    feature indices in [0, 2**32); with ``pairs=None`` the table has one row,
+    drawn with no spawn key. Philox is counter based, so all rows are
+    computed at once: numpy increments the counter before each four-word
+    block, so block b (from 0) encrypts counter ``b + 1``, and each word x
+    becomes the angle ``pi * ((x >> 11) * 2**-53)``. Every value equals
+    numpy's bit for bit.
     """
     if pairs is None:
         rows, spawn = 1, []
     else:
         pairs = np.asarray(pairs).reshape(-1, 2)
-        if pairs.size and (pairs.min() < 0 or pairs.max() > _MASK32):
-            raise DataValidationError("pair indices must lie in [0, 2**32)")
         rows, spawn = len(pairs), [pairs[:, 0].astype(_U32), pairs[:, 1].astype(_U32)]
     key0, key1 = _philox_keys(seed, spawn, rows)
     blocks = -(-count // 4)
@@ -254,6 +270,17 @@ def _philox_angles(seed: int, count: int, pairs: np.ndarray | None = None) -> np
     return table
 
 
+def _angles(values) -> np.ndarray:
+    """``values`` as a float array, rejected unless every angle lies in [0, pi).
+
+    The test is written so that a NaN angle fails it.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < np.pi):
+        raise DataValidationError("angles must lie in [0, pi)")
+    return arr
+
+
 @dataclass(frozen=True)
 class ProjectionAngleSet:
     """Projection angles for one feature pair, with the provenance to regenerate them.
@@ -271,9 +298,7 @@ class ProjectionAngleSet:
         arr = np.asarray(self.angles, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise DataValidationError("angle set must hold at least one angle")
-        if np.any(arr < 0.0) or np.any(arr >= np.pi):
-            raise DataValidationError("angles must lie in [0, pi)")
-        arr = arr.copy()
+        arr = _angles(arr).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "angles", arr)
 
@@ -284,24 +309,18 @@ class ProjectionAngleSet:
     def generate(cls, seed: int, count: int, pair: tuple[int, int] | None = None) -> "ProjectionAngleSet":
         count = _integer("count", count, 1)
         seed = _integer("seed", seed, 0)
-        pairs = None if pair is None else np.array([[int(pair[0]), int(pair[1])]], dtype=object)
+        if pair is not None:
+            pair = tuple(_integer("pair indices", pair[k], 0, _MASK32) for k in (0, 1))
+        pairs = None if pair is None else np.array([pair])
         return cls(_philox_angles(seed, count, pairs)[0], seed, pair)
 
 
-def _check_pair(ds: Dataset, i: int, j: int) -> None:
+def _check_pair(ds: Dataset, i: int, j: int) -> tuple[int, int]:
     d = ds.num_features
-    if not (0 <= i < d and 0 <= j < d):
-        raise DataValidationError(f"feature indices ({i}, {j}) out of range for {d} features")
+    i, j = _integer("i", i, 0, d - 1), _integer("j", j, 0, d - 1)
     if i == j:
         raise DataValidationError("projection requires distinct features")
-
-
-def project_pair(ds: Dataset, i: int, j: int, theta: float) -> Sample1D:
-    """Project columns (i, j) onto the direction (cos theta, sin theta)."""
-    _check_pair(ds, i, j)
-    if not (0.0 <= theta < np.pi):
-        raise DataValidationError(f"projection angle must lie in [0, pi), got {theta}")
-    return Sample1D(ds.values[:, i] * np.cos(theta) + ds.values[:, j] * np.sin(theta))
+    return i, j
 
 
 def _project_rows(
@@ -338,12 +357,9 @@ def projected_ks(p: Dataset, q: Dataset, i: int, j: int, angles) -> float:
     Deterministic given the angle set; Monte-Carlo estimate of the expected
     projected KS distance when the angles are uniform draws from [0, pi).
     """
-    _check_pair(p, i, j)
+    i, j = _check_pair(p, i, j)
     _check_pair(q, i, j)
-    if isinstance(angles, ProjectionAngleSet):
-        arr = angles.angles
-    else:
-        arr = ProjectionAngleSet(np.asarray(angles, dtype=np.float64), seed=0).angles
+    arr = angles.angles if isinstance(angles, ProjectionAngleSet) else ProjectionAngleSet(angles, seed=0).angles
     return float(np.mean(_projected_ks_values(p, q, i, j, arr)))
 
 
@@ -353,7 +369,7 @@ def projected_ks_grid(p: Dataset, q: Dataset, i: int, j: int, grid_size: int = 1
     Reference value for validating the Monte-Carlo estimate at a chosen
     angle budget; cost grows linearly in ``grid_size``.
     """
-    _check_pair(p, i, j)
+    i, j = _check_pair(p, i, j)
     _check_pair(q, i, j)
     grid_size = _integer("grid_size", grid_size, 1)
     grid = (np.arange(grid_size) + 0.5) * (np.pi / grid_size)

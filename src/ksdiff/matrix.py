@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, _check_name, _check_same_columns, _integer, _read_table, _write_table
 from .errors import DataValidationError
-from .ks import ProjectionAngleSet, _ks_merged, _philox_angles, _project_rows, ks_empirical_columns
+from .ks import ProjectionAngleSet, _angles, _ks_merged, _philox_angles, _project_rows, ks_empirical_columns
 
 ANGLE_POLICIES = ("per-pair", "shared")
 
@@ -124,12 +124,9 @@ def build_ks_matrix(
 
     pair_i, pair_j = np.triu_indices(d, k=1)
     num_pairs = pair_i.size
-    if angle_policy == "per-pair":
-        angles = _philox_angles(master_seed, num_angles, np.column_stack((pair_i, pair_j)))
-    else:
-        angles = np.broadcast_to(_philox_angles(master_seed, num_angles), (num_pairs, num_angles))
-    if angles.size and not (angles.min() >= 0.0 and angles.max() < np.pi):
-        raise DataValidationError("angles must lie in [0, pi)")
+    pairs = np.column_stack((pair_i, pair_j)) if angle_policy == "per-pair" else None
+    table = _angles(_philox_angles(master_seed, num_angles, pairs))
+    angles = np.broadcast_to(table, (num_pairs, num_angles))
     step = _pairs_per_chunk(p.num_rows + q.num_rows, num_angles)
     # one feature per contiguous row, so each chunk projects straight into row layout
     pt = np.ascontiguousarray(p.values.T)

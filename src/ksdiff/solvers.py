@@ -208,9 +208,7 @@ def optimality_margin(h, selected, k: int, limit_d: int = DEFAULT_EXACT_LIMIT) -
     if d > limit_d:
         raise SolverLimitError(f"margin enumeration size limit: D={d} exceeds {limit_d}")
     _integer("k", k, 0, d)
-    star = frozenset(int(i) for i in selected)
-    if not star <= set(range(d)):
-        raise DataValidationError("selected features out of range")
+    star = frozenset(_integer("selected", i, 0, d - 1) for i in selected)
     complement_star = sorted(set(range(d)) - star)
     if (size := len(complement_star)) != k:
         raise DataValidationError(f"selection leaves a complement of size {size}, expected k={k}")

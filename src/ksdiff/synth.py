@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, _integer, dataset_from_array, default_names
+from .data import Dataset, _finite, _integer, dataset_from_array, default_names
 from .errors import DataValidationError
 
 FEATURE_COUNT = 20
@@ -45,11 +45,9 @@ class GroundTruth:
     changed: frozenset[int]
 
     def __post_init__(self):
-        changed = frozenset(int(i) for i in self.changed)
+        changed = frozenset(_integer("changed", i, 0) for i in self.changed)
         if not changed:
             raise DataValidationError("ground truth must name at least one feature")
-        if min(changed) < 0:
-            raise DataValidationError("ground truth indices must be nonnegative")
         object.__setattr__(self, "changed", changed)
 
 
@@ -172,14 +170,17 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.kind not in PERTURBATION_KINDS:
             raise DataValidationError(f"unknown perturbation kind {self.kind!r}")
-        if not 0.0 <= self.c <= 1.0:
-            raise DataValidationError(f"difference level c must lie in [0, 1], got {self.c}")
-        targets = tuple(int(t) for t in self.targets)
+        c = _finite("c", self.c)
+        if not 0.0 <= c <= 1.0:
+            raise DataValidationError(f"difference level c must lie in [0, 1], got {c}")
+        targets = tuple(_integer("targets", t, 0) for t in self.targets)
         if not targets:
             raise DataValidationError("at least one target feature is required")
         if len(set(targets)) != len(targets):
             raise DataValidationError("target features must be distinct")
-        references = {int(k): int(v) for k, v in self.references.items()}
+        references = {
+            _integer("references", k, 0): _integer("references", v, 0) for k, v in self.references.items()
+        }
         if self.kind in _REFERENCE_KINDS:
             missing = [t for t in targets if t not in references]
             if missing:
@@ -187,8 +188,11 @@ class PerturbationSpec:
             overlap = set(targets) & set(references.values())
             if overlap:
                 raise DataValidationError(f"targets and references overlap: {sorted(overlap)}")
-        if self.kind == "variance_change" and self.seed is None:
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
+        elif self.kind == "variance_change":
             raise DataValidationError("variance_change needs a seed for its noise draws")
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "references", references)
 
@@ -202,10 +206,8 @@ def lower_quartile(values: np.ndarray) -> float:
 def perturb(ds: Dataset, spec: PerturbationSpec) -> Dataset:
     """Apply the spec's change to each target column; all other cells are untouched."""
     d = ds.num_features
-    bad = [t for t in spec.targets if not 0 <= t < d]
-    bad += [r for r in spec.references.values() if not 0 <= r < d]
-    if bad:
-        raise DataValidationError(f"feature indices {sorted(set(bad))} out of range for {d} features")
+    for index in (*spec.targets, *spec.references.values()):
+        _integer("feature index", index, 0, d - 1)
     out = ds.values.copy()
     for target in spec.targets:
         col = ds.values[:, target]

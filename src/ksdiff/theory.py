@@ -78,9 +78,9 @@ def check_conditions(
     d = w.shape[0]
     if _finite("tol", tol) < 0:
         raise DataValidationError("tolerance must be nonnegative")
-    star = sorted(int(i) for i in set(s_star))
-    if not star or star[0] < 0 or star[-1] >= d:
-        raise DataValidationError(f"changed-feature set {star} invalid for {d} features")
+    star = sorted({_integer("s_star", i, 0, d - 1) for i in s_star})
+    if not star:
+        raise DataValidationError("changed-feature set must name at least one feature")
     k = d - len(star)
     necessary: dict[int, bool] = {}
     sufficient: dict[int, bool] = {}
@@ -119,9 +119,9 @@ def sample_bound(k: int, margin: float, dim: int, epsilon: float) -> SampleBound
     distribution-dependent sample-size term exists but needs density bounds
     no data can supply; it is reported symbolically via ``omitted_term``.
     """
-    if _finite("margin", margin) <= 0:
+    if (margin := _finite("margin", margin)) <= 0:
         raise DataValidationError("margin must be positive: the changed set is not uniquely identifiable")
-    if not 0 < epsilon < 1:
+    if not 0 < (epsilon := _finite("epsilon", epsilon)) < 1:
         raise DataValidationError(f"epsilon must lie in (0, 1), got {epsilon}")
     k, dim = _integer("k", k, 1), _integer("dim", dim, 1)
     lead = 8.0 * k**4 / margin**2
@@ -167,7 +167,7 @@ def recovery_trial(
     _integer("seed", seed, 0)
     if _finite("magnitude", magnitude) < 0:
         raise DataValidationError("magnitude must be nonnegative")
-    star = frozenset(int(i) for i in s_star)
+    star = frozenset(_integer("s_star", i, 0, d - 1) for i in s_star)
     margin = optimality_margin(w, star, k, limit_d=limit_d)
     bound = margin / (2.0 * k * k)
     complement_star = frozenset(range(d)) - star
@@ -205,9 +205,9 @@ def kl_lower_bound_check(sigma_ij: float, gamma_ij: float) -> KlBoundCheck:
     ``0.5 * ((2 - 2 s g) / (1 - g^2) - ln((1 - s^2) / (1 - g^2)) - 2)`` and
     is bounded below by ``0.5 * |s - g| - 1/8``.
     """
-    if not (abs(sigma_ij) < 1.0 and abs(gamma_ij) < 1.0):
+    s, g = _finite("sigma_ij", sigma_ij), _finite("gamma_ij", gamma_ij)
+    if not (abs(s) < 1.0 and abs(g) < 1.0):
         raise DataValidationError("correlations must have magnitude < 1 (singular covariance otherwise)")
-    s, g = float(sigma_ij), float(gamma_ij)
     kl = 0.5 * ((2.0 - 2.0 * s * g) / (1.0 - g * g) - math.log((1.0 - s * s) / (1.0 - g * g)) - 2.0)
     bound = 0.5 * abs(s - g) - 0.125
     return KlBoundCheck(kl=kl, bound=bound, holds=kl >= bound)

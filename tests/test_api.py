@@ -1,0 +1,73 @@
+"""The public surface: ``ksdiff.__all__`` is pinned, so adding or removing a
+public name is a deliberate edit here, and every listed name resolves."""
+
+import ksdiff
+
+PUBLIC_NAMES = [
+    "ConsistencyReport",
+    "DataValidationError",
+    "Dataset",
+    "EmpiricalKsMatrix",
+    "ExperimentConfig",
+    "ExperimentRecord",
+    "ExperimentReport",
+    "GroundTruth",
+    "KlBoundCheck",
+    "KsdiffError",
+    "PerturbationSpec",
+    "ProjectionAngleSet",
+    "RecoveryTrialResult",
+    "SampleBound",
+    "SolverLimitError",
+    "SolverResult",
+    "auroc",
+    "build_ks_matrix",
+    "check_conditions",
+    "complement_objective",
+    "dataset_from_array",
+    "default_names",
+    "edf_eval",
+    "estimate_precision_cv",
+    "exact_min",
+    "example1_population",
+    "gen_example1",
+    "gen_example2",
+    "greedy_k",
+    "greedy_score",
+    "greedy_score_objective",
+    "hara15_matrix",
+    "hara15_score",
+    "ide09_score",
+    "kl_lower_bound_check",
+    "ks_empirical",
+    "ks_empirical_columns",
+    "load_dataset_csv",
+    "load_matrix",
+    "lower_quartile",
+    "mt_score",
+    "optimality_margin",
+    "pair_angles",
+    "perturb",
+    "projected_ks",
+    "projected_ks_grid",
+    "proposed_score",
+    "recovery_trial",
+    "repetition_seed",
+    "run_experiment",
+    "sample_bound",
+    "save_dataset_csv",
+    "save_matrix",
+    "standardize",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(ksdiff.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 54
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from ksdiff import *", namespace)
+    for name in PUBLIC_NAMES:
+        assert getattr(ksdiff, name) is namespace[name]

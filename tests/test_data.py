@@ -4,44 +4,27 @@ import pytest
 from ksdiff import (
     DataValidationError,
     Dataset,
-    Sample1D,
+    GroundTruth,
+    PerturbationSpec,
+    ProjectionAngleSet,
+    auroc,
+    check_conditions,
     dataset_from_array,
+    edf_eval,
     estimate_precision_cv,
     gen_example1,
     gen_example2,
     load_dataset_csv,
+    kl_lower_bound_check,
     optimality_margin,
+    projected_ks,
+    recovery_trial,
     repetition_seed,
     sample_bound,
     save_dataset_csv,
     standardize,
 )
 from ksdiff.errors import ConfigFieldError
-
-
-class TestSample1D:
-    def test_rejects_empty(self):
-        with pytest.raises(DataValidationError, match="empty sample"):
-            Sample1D(np.array([]))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(DataValidationError, match="non-finite"):
-            Sample1D(np.array([1.0, bad, 2.0]))
-
-    def test_duplicates_allowed(self):
-        assert len(Sample1D(np.array([1.0, 1.0, 2.0]))) == 3
-
-    def test_sorted_flag_checked(self):
-        with pytest.raises(DataValidationError, match="sorted"):
-            Sample1D(np.array([2.0, 1.0]), is_sorted=True)
-        s = Sample1D(np.array([1.0, 2.0]), is_sorted=True)
-        assert np.array_equal(s.sorted_values, [1.0, 2.0])
-
-    def test_immutable(self):
-        s = Sample1D(np.array([3.0, 1.0]))
-        with pytest.raises(ValueError):
-            s.values[0] = 0.0
 
 
 class TestDataset:
@@ -159,5 +142,49 @@ _UNIT_DATASET = dataset_from_array(np.random.default_rng(2).normal(size=(30, 3))
 )
 def test_integer_parameters_rejected_with_field_named(function, args, field):
     with pytest.raises(ConfigFieldError, match=f"^{field} must be an integer") as info:
+        function(*args)
+    assert info.value.field == field
+
+
+_WEIGHTS = np.array([[0.5, 0.1, 0.2], [0.1, 0.0, 0.1], [0.2, 0.1, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "function, args, field",
+    [
+        (check_conditions, (_WEIGHTS, [0.7]), "s_star"),
+        (optimality_margin, (_WEIGHTS, [0.7], 2), "selected"),
+        (recovery_trial, (_WEIGHTS, [0.7], 2, 0.0, 1, 0), "s_star"),
+        (GroundTruth, (frozenset({1.5}),), "changed"),
+        (auroc, ([0.1, 0.2, 0.3], [1.5]), "truth"),
+        (PerturbationSpec, ("mean_shift", 0.5, (1.7,)), "targets"),
+        (PerturbationSpec, ("mean_shift", True, (0,)), "c"),
+        (PerturbationSpec, ("mean_shift", "0.3", (0,)), "c"),
+        (PerturbationSpec, ("variance_change", 0.5, (0,), {}, 1.5), "seed"),
+        (edf_eval, ([1.0, 2.0], "1.5"), "x"),
+        (sample_bound, (1, 0.5, 10, "0.1"), "epsilon"),
+        (kl_lower_bound_check, ("0.1", 0.2), "sigma_ij"),
+        (projected_ks, (_UNIT_DATASET, _UNIT_DATASET, 0.7, 1, [0.1]), "i"),
+        (ProjectionAngleSet.generate, (1, 4, (1.5, 2)), "pair indices"),
+    ],
+    ids=[
+        "check_conditions-index",
+        "optimality_margin-index",
+        "recovery_trial-index",
+        "GroundTruth-index",
+        "auroc-index",
+        "PerturbationSpec-target",
+        "PerturbationSpec-bool-level",
+        "PerturbationSpec-str-level",
+        "PerturbationSpec-seed",
+        "edf_eval-point",
+        "sample_bound-epsilon",
+        "kl_lower_bound_check-correlation",
+        "projected_ks-index",
+        "ProjectionAngleSet-pair",
+    ],
+)
+def test_indices_and_reals_rejected_not_coerced(function, args, field):
+    with pytest.raises(ConfigFieldError, match=f"^{field} must be") as info:
         function(*args)
     assert info.value.field == field

@@ -36,6 +36,11 @@ class TestAuroc:
         with pytest.raises(DataValidationError, match="out of range"):
             auroc([1.0, 2.0], {5})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(DataValidationError, match="finite"):
+            auroc([bad, 0.1, 0.2], {0})
+
     def test_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

@@ -18,13 +18,12 @@ from ksdiff import (
     edf_eval,
     ks_empirical,
     ks_empirical_columns,
-    project_pair,
     projected_ks,
     projected_ks_grid,
 )
 
 from ksdiff import _native
-from ksdiff.ks import _ks_merged, _ks_merged_numpy, _philox_angles
+from ksdiff.ks import _ks_merged, _ks_merged_numpy, _philox_angles, _project_rows
 
 from conftest import ks_jump_oracle, random_sample_pair
 
@@ -51,6 +50,27 @@ class TestEdf:
     def test_non_finite_query_rejected(self):
         with pytest.raises(DataValidationError):
             edf_eval([1.0], np.nan)
+
+
+class TestSampleChecks:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([], "empty sample"),
+            ([1.0, np.nan, 2.0], "non-finite value at position 1"),
+            ([1.0, np.inf, 2.0], "non-finite value at position 1"),
+            ([1.0, -np.inf, 2.0], "non-finite value at position 1"),
+            ([[1.0, 2.0]], "must be 1-D"),
+        ],
+        ids=["empty", "nan", "inf", "-inf", "2-D"],
+    )
+    def test_rejected_by_edf_and_ks(self, bad, message):
+        with pytest.raises(DataValidationError, match=message):
+            edf_eval(bad, 0.0)
+        with pytest.raises(DataValidationError, match=message):
+            ks_empirical(bad, [1.0])
+        with pytest.raises(DataValidationError, match=message):
+            ks_empirical([1.0], bad)
 
 
 class TestKsEmpirical:
@@ -248,6 +268,10 @@ class TestNativeLoader:
         assert _native.ks_scan() is None
 
 
+def _project(ds, i, j, theta):
+    return _project_rows(ds.values.T, np.array([i]), np.array([j]), np.cos([theta]), np.sin([theta]))[0]
+
+
 class TestProjection:
     @pytest.fixture
     def ds(self):
@@ -255,24 +279,24 @@ class TestProjection:
         return dataset_from_array(rng.normal(size=(50, 4)))
 
     def test_angle_zero_is_first_column(self, ds):
-        assert np.array_equal(project_pair(ds, 1, 2, 0.0).values, ds.values[:, 1])
+        assert np.array_equal(_project(ds, 1, 2, 0.0), ds.values[:, 1])
 
     def test_angle_quarter_turn_is_second_column(self, ds):
         # cos(pi/2) is ~6e-17 in floats, not exactly zero
-        proj = project_pair(ds, 1, 2, np.pi / 2).values
+        proj = _project(ds, 1, 2, np.pi / 2)
         assert np.allclose(proj, ds.values[:, 2], atol=1e-12)
 
     def test_diagonal_direction(self):
         ds = dataset_from_array([[3.0, 4.0]])
-        assert project_pair(ds, 0, 1, np.pi / 4).values[0] == pytest.approx(7 / np.sqrt(2))
+        assert _project(ds, 0, 1, np.pi / 4)[0] == pytest.approx(7 / np.sqrt(2))
 
     def test_same_feature_rejected(self, ds):
         with pytest.raises(DataValidationError, match="distinct features"):
-            project_pair(ds, 1, 1, 0.5)
+            projected_ks(ds, ds, 1, 1, [0.5])
 
     def test_angle_domain_enforced(self, ds):
-        with pytest.raises(DataValidationError):
-            project_pair(ds, 0, 1, np.pi)
+        with pytest.raises(DataValidationError, match=r"\[0, pi\)"):
+            projected_ks(ds, ds, 0, 1, [np.pi])
 
 
 class TestAngleSet:
@@ -293,6 +317,14 @@ class TestAngleSet:
     def test_out_of_domain_rejected(self):
         with pytest.raises(DataValidationError):
             ProjectionAngleSet(np.array([0.1, np.pi]), seed=0)
+
+    @pytest.mark.parametrize("angles", [[np.nan], [0.3, np.nan]], ids=["nan", "0.3,nan"])
+    def test_nan_angle_rejected(self, angles):
+        ds = dataset_from_array(np.random.default_rng(8).normal(size=(20, 2)))
+        with pytest.raises(DataValidationError, match=r"\[0, pi\)"):
+            ProjectionAngleSet(angles, seed=0)
+        with pytest.raises(DataValidationError, match=r"\[0, pi\)"):
+            projected_ks(ds, ds, 0, 1, angles)
 
     @settings(max_examples=200, deadline=None)
     @given(
