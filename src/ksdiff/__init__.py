@@ -32,15 +32,16 @@ from .evaluate import (
     repetition_seed,
     run_experiment,
 )
-from .ks import (
-    ProjectionAngleSet,
-    edf_eval,
-    ks_empirical,
-    ks_empirical_columns,
+from .ks import edf_eval, ks_empirical, ks_empirical_columns
+from .matrix import (
+    EmpiricalKsMatrix,
+    build_ks_matrix,
+    load_matrix,
+    pair_angles,
     projected_ks,
     projected_ks_grid,
+    save_matrix,
 )
-from .matrix import EmpiricalKsMatrix, build_ks_matrix, load_matrix, pair_angles, save_matrix
 from .solvers import (
     SolverResult,
     complement_objective,
@@ -84,7 +85,6 @@ __all__ = [
     "KlBoundCheck",
     "KsdiffError",
     "PerturbationSpec",
-    "ProjectionAngleSet",
     "RecoveryTrialResult",
     "SampleBound",
     "SolverLimitError",

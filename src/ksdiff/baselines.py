@@ -4,18 +4,18 @@ change scores, and absolute covariance/precision differences.
 All three model both samples as Gaussians. Precision matrices are ridge
 estimates (cov + kappa*I)^-1 with kappa picked from a fixed 11-point
 log-spaced grid in [1e-4, 10] by three-fold cross validation on held-out
-Gaussian log-likelihood. Everything is deterministic given the data (folds
-are contiguous; pass a seed only to shuffle rows before folding). The
-scorers compute with numpy's overflow and invalid-value warnings off: data
-whose second moments overflow gives non-finite scores, which callers reject
-by method name, and non-finite weights, which ``hara15_matrix`` rejects.
+Gaussian log-likelihood. Everything is deterministic given the data: the
+folds are three contiguous blocks of rows, in row order. The scorers compute
+with numpy's overflow and invalid-value warnings off: data whose second
+moments overflow gives non-finite scores, which callers reject by method
+name, and non-finite weights, which ``hara15_matrix`` rejects.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, _check_same_columns, _integer
+from .data import Dataset, _check_same_columns
 from .errors import DataValidationError, KsdiffError
 from .solvers import greedy_score, greedy_score_objective
 
@@ -46,7 +46,7 @@ def _heldout_loglik(train: np.ndarray, test: np.ndarray, kappa: float) -> float:
     return float(np.mean(0.5 * (logdet - d * _LOG_2PI - quad)))
 
 
-def estimate_precision_cv(ds: Dataset, seed: int | None = None) -> tuple[np.ndarray, float]:
+def estimate_precision_cv(ds: Dataset) -> tuple[np.ndarray, float]:
     """Ridge-regularized precision matrix with cross-validated ridge strength.
 
     Returns ``((cov + kappa*I)^-1, kappa)``. The ridge keeps the estimate
@@ -57,11 +57,7 @@ def estimate_precision_cv(ds: Dataset, seed: int | None = None) -> tuple[np.ndar
     n = x.shape[0]
     if n < 3:
         raise DataValidationError(f"precision estimation needs at least 3 rows, got {n}")
-    order = np.arange(n)
-    if seed is not None:
-        seed_seq = np.random.SeedSequence(_integer("seed", seed, 0))
-        order = np.random.Generator(np.random.Philox(seed_seq)).permutation(n)
-    folds = np.array_split(order, 3)
+    folds = np.array_split(np.arange(n), 3)
     best_ll, best_kappa = -np.inf, float(KAPPA_GRID[0])
     for kappa in KAPPA_GRID:
         ll = 0.0
@@ -109,7 +105,7 @@ def _mt_scores_from(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def mt_score(p: Dataset, q: Dataset, seed: int | None = None) -> np.ndarray:
+def mt_score(p: Dataset, q: Dataset) -> np.ndarray:
     """Score features by the trace misfit of Q's second moments about P's mean.
 
     Gamma is Q's scatter about P's mean; C is P's ridge-regularized
@@ -118,7 +114,7 @@ def mt_score(p: Dataset, q: Dataset, seed: int | None = None) -> np.ndarray:
     """
     _check_same_columns(p, q)
     mean_p, cov_p = _mean_cov(p.values)
-    _, kappa_p = estimate_precision_cv(p, seed)
+    _, kappa_p = estimate_precision_cv(p)
     centered_q = q.values - mean_p
     gamma = _sym(centered_q.T @ centered_q / q.num_rows)
     c = cov_p + kappa_p * np.eye(p.num_features)
@@ -165,13 +161,13 @@ def ide09_scores_from_precisions(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def ide09_score(p: Dataset, q: Dataset, seed: int | None = None) -> np.ndarray:
+def ide09_score(p: Dataset, q: Dataset) -> np.ndarray:
     """Partitioned-precision change score per feature (max over both directions)."""
     _check_same_columns(p, q)
     _, cov_p = _mean_cov(p.values)
     _, cov_q = _mean_cov(q.values)
-    prec_p, kappa_p = estimate_precision_cv(p, seed)
-    prec_q, kappa_q = estimate_precision_cv(q, seed)
+    prec_p, kappa_p = estimate_precision_cv(p)
+    prec_q, kappa_q = estimate_precision_cv(q)
     eye = np.eye(p.num_features)
     # the ridge estimate's exact inverse is the regularized covariance
     inv_p = cov_p + kappa_p * eye
@@ -180,15 +176,15 @@ def ide09_score(p: Dataset, q: Dataset, seed: int | None = None) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def hara15_matrix(p: Dataset, q: Dataset, mode: str = "covariance", seed: int | None = None) -> np.ndarray:
+def hara15_matrix(p: Dataset, q: Dataset, mode: str = "covariance") -> np.ndarray:
     """Entrywise absolute difference of the two covariance (or precision) matrices."""
     _check_same_columns(p, q)
     if mode == "covariance":
         _, a = _mean_cov(p.values)
         _, b = _mean_cov(q.values)
     elif mode == "precision":
-        a, _ = estimate_precision_cv(p, seed)
-        b, _ = estimate_precision_cv(q, seed)
+        a, _ = estimate_precision_cv(p)
+        b, _ = estimate_precision_cv(q)
     else:
         raise DataValidationError(f"unknown mode {mode!r}, expected 'covariance' or 'precision'")
     # both inputs are exactly symmetric, so their difference is too
@@ -198,6 +194,6 @@ def hara15_matrix(p: Dataset, q: Dataset, mode: str = "covariance", seed: int | 
     return diff
 
 
-def hara15_score(p: Dataset, q: Dataset, mode: str = "covariance", seed: int | None = None) -> np.ndarray:
+def hara15_score(p: Dataset, q: Dataset, mode: str = "covariance") -> np.ndarray:
     """Greedy scoring on the absolute moment-difference matrix."""
-    return greedy_score(hara15_matrix(p, q, mode, seed)).scores
+    return greedy_score(hara15_matrix(p, q, mode)).scores

@@ -6,7 +6,8 @@ A table (a name header, then one row of decimals per line) is read and
 written here for dataset CSVs and, past their provenance line, matrix files.
 Every integer parameter and feature index of the library passes through
 ``_integer``, with the range [0, D-1] for an index when D is known, and
-every real parameter through ``_finite``; neither coerces.
+every real parameter through ``_finite``; neither coerces. The feature names
+of a dataset and of a KS matrix both pass through ``_check_names``.
 """
 
 from __future__ import annotations
@@ -21,12 +22,19 @@ import numpy as np
 from .errors import ConfigFieldError, DataValidationError
 
 
-def _check_name(name: str) -> str:
-    if not name:
-        raise DataValidationError("feature names must be non-empty")
-    if "," in name or "\n" in name or "\r" in name:
-        raise DataValidationError(f"feature name {name!r} contains a comma or newline")
-    return name
+def _check_names(names, d: int) -> tuple[str, ...]:
+    """``names`` as a tuple of ``d`` distinct strings, each non-empty, with no comma or newline."""
+    names = tuple(str(n) for n in names)
+    for name in names:
+        if not name:
+            raise DataValidationError("feature names must be non-empty")
+        if "," in name or "\n" in name or "\r" in name:
+            raise DataValidationError(f"feature name {name!r} contains a comma or newline")
+    if len(names) != d:
+        raise DataValidationError(f"{len(names)} names for {d} features")
+    if len(set(names)) != d:
+        raise DataValidationError("duplicate feature names")
+    return names
 
 
 def _integer(field: str, value, low: int, high: int | None = None) -> int:
@@ -66,11 +74,7 @@ class Dataset:
         if bad.size:
             r, c = bad[0]
             raise DataValidationError(f"non-finite value at row {r}, column {c}")
-        names = tuple(_check_name(str(x)) for x in self.names)
-        if len(names) != d:
-            raise DataValidationError(f"{len(names)} names for {d} columns")
-        if len(set(names)) != d:
-            raise DataValidationError("duplicate feature names")
+        names = _check_names(self.names, d)
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)

@@ -1,5 +1,5 @@
-"""Empirical distribution functions, the two-sample KS statistic, and its
-projected (sliced) extension to feature pairs.
+"""Empirical distribution functions, the two-sample KS statistic, and the
+pieces of its projected (sliced) extension to feature pairs.
 
 The KS statistic of two samples is the largest absolute gap between their
 empirical distribution functions. Both EDFs are right-continuous step
@@ -29,19 +29,17 @@ there. Without a compiler or a writable cache, and for samples with
 return the same bytes.
 
 Each input contract has one check here: ``_sample`` for a 1-D sample
-(1-D, non-empty, finite), ``_angles`` for projection angles (in [0, pi),
-NaN rejected) and ``data._integer`` for feature and pair indices.
-``_project_rows`` is the one projection.
+(1-D, non-empty, finite) and ``_angles`` for projection angles (in [0, pi),
+NaN rejected). ``_project_rows`` is the one projection; the pair statistic
+built from it, ``projected_ks`` and the matrix build live in ``matrix``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _native
-from .data import Dataset, _finite, _integer
+from .data import _finite
 from .errors import DataValidationError
 
 
@@ -281,57 +279,14 @@ def _angles(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class ProjectionAngleSet:
-    """Projection angles for one feature pair, with the provenance to regenerate them.
-
-    ``generate`` is keyed on (seed, pair) through a counter-based generator,
-    so any pair's angles can be rebuilt in isolation and in any order; its
-    angles are the row of ``_philox_angles`` that the matrix build uses.
-    """
-
-    angles: np.ndarray
-    seed: int
-    pair_id: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.angles, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise DataValidationError("angle set must hold at least one angle")
-        arr = _angles(arr).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "angles", arr)
-
-    def __len__(self) -> int:
-        return self.angles.size
-
-    @classmethod
-    def generate(cls, seed: int, count: int, pair: tuple[int, int] | None = None) -> "ProjectionAngleSet":
-        count = _integer("count", count, 1)
-        seed = _integer("seed", seed, 0)
-        if pair is not None:
-            pair = tuple(_integer("pair indices", pair[k], 0, _MASK32) for k in (0, 1))
-        pairs = None if pair is None else np.array([pair])
-        return cls(_philox_angles(seed, count, pairs)[0], seed, pair)
-
-
-def _check_pair(ds: Dataset, i: int, j: int) -> tuple[int, int]:
-    d = ds.num_features
-    i, j = _integer("i", i, 0, d - 1), _integer("j", j, 0, d - 1)
-    if i == j:
-        raise DataValidationError("projection requires distinct features")
-    return i, j
-
-
 def _project_rows(
     xt: np.ndarray, cols_i: np.ndarray, cols_j: np.ndarray, cos: np.ndarray, sin: np.ndarray
 ) -> np.ndarray:
     """Projections ``x_i*cos + x_j*sin`` of a (D, N) transposed sample, one per row.
 
     ``cols_i``, ``cols_j``, ``cos`` and ``sin`` hold one entry per instance;
-    the result is a C-contiguous (K, N) array. The matrix build and the
-    projected KS functions both project here, so their projections agree bit
-    for bit.
+    the result is a C-contiguous (K, N) array. Its one caller is the pair
+    evaluator ``matrix._projected_ks_values``.
     """
     rows = xt[cols_i]
     rows *= cos[:, None]
@@ -341,36 +296,3 @@ def _project_rows(
     with np.errstate(over="ignore"):
         rows += other
     return rows
-
-
-def _projected_ks_values(p: Dataset, q: Dataset, i: int, j: int, angles: np.ndarray) -> np.ndarray:
-    cols_i, cols_j = np.full(angles.size, i), np.full(angles.size, j)
-    cos, sin = np.cos(angles), np.sin(angles)
-    rp = _project_rows(p.values.T, cols_i, cols_j, cos, sin)
-    rq = _project_rows(q.values.T, cols_i, cols_j, cos, sin)
-    return _ks_merged(rp.T, rq.T)
-
-
-def projected_ks(p: Dataset, q: Dataset, i: int, j: int, angles) -> float:
-    """Mean KS statistic over the angle set's projections of feature pair (i, j).
-
-    Deterministic given the angle set; Monte-Carlo estimate of the expected
-    projected KS distance when the angles are uniform draws from [0, pi).
-    """
-    i, j = _check_pair(p, i, j)
-    _check_pair(q, i, j)
-    arr = angles.angles if isinstance(angles, ProjectionAngleSet) else ProjectionAngleSet(angles, seed=0).angles
-    return float(np.mean(_projected_ks_values(p, q, i, j, arr)))
-
-
-def projected_ks_grid(p: Dataset, q: Dataset, i: int, j: int, grid_size: int = 10_000) -> float:
-    """Deterministic midpoint-grid quadrature of the projected KS distance.
-
-    Reference value for validating the Monte-Carlo estimate at a chosen
-    angle budget; cost grows linearly in ``grid_size``.
-    """
-    i, j = _check_pair(p, i, j)
-    _check_pair(q, i, j)
-    grid_size = _integer("grid_size", grid_size, 1)
-    grid = (np.arange(grid_size) + 0.5) * (np.pi / grid_size)
-    return float(np.mean(_projected_ks_values(p, q, i, j, grid)))

@@ -1,10 +1,14 @@
 """Pairwise KS matrix: per-feature KS on the diagonal, projected KS off it.
 
-Every pair (i < j) draws its own angle set from (master_seed, i, j), so the
+Every pair (i < j) draws its own angles from (master_seed, i, j), so the
 build is deterministic for any worker count and any evaluation order. The
-"shared" policy reuses a single angle set, keyed on the master seed alone,
-for every pair. The angles of all pairs are drawn in one pass before the
-chunks run, and the chunk results are written back with one scatter.
+"shared" policy reuses one row of angles, keyed on the master seed alone,
+for every pair; ``pair_angles`` returns a pair's row under either policy.
+The angles of all pairs are drawn in one pass before the chunks run, and the
+chunk results are written back with one scatter.
+
+``_projected_ks_values`` is the one evaluator of the projected statistic:
+the build's chunks, ``projected_ks`` and ``projected_ks_grid`` all call it.
 A matrix file is a provenance line followed by the entries as a dataset CSV
 table, read and written by the same code as a dataset CSV.
 """
@@ -17,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_name, _check_same_columns, _integer, _read_table, _write_table
+from .data import Dataset, _check_names, _check_same_columns, _integer, _read_table, _write_table
 from .errors import DataValidationError
-from .ks import ProjectionAngleSet, _angles, _ks_merged, _philox_angles, _project_rows, ks_empirical_columns
+from .ks import _angles, _ks_merged, _philox_angles, _project_rows, ks_empirical_columns
 
 ANGLE_POLICIES = ("per-pair", "shared")
 
@@ -54,9 +58,7 @@ class EmpiricalKsMatrix:
             raise DataValidationError("matrix must have at least one feature")
         if np.any(arr > 1.0):
             raise DataValidationError("entry out of [0,1]")
-        names = tuple(_check_name(str(n)) for n in self.names)
-        if len(names) != arr.shape[0]:
-            raise DataValidationError(f"{len(names)} names for a {arr.shape[0]}-feature matrix")
+        names = _check_names(self.names, arr.shape[0])
         _integer("num_angles", self.num_angles, 1)
         _integer("master_seed", self.master_seed, 0)
         if self.angle_policy not in ANGLE_POLICIES:
@@ -87,14 +89,74 @@ def as_weight_matrix(h) -> np.ndarray:
     return arr
 
 
-def pair_angles(master_seed: int, num_angles: int, i: int, j: int, policy: str) -> ProjectionAngleSet:
-    """Angle set used for pair (i, j) under the given policy."""
+def pair_angles(master_seed: int, num_angles: int, i: int, j: int, policy: str) -> np.ndarray:
+    """Read-only angles of pair (i, j) under the given policy: its row of the build's table.
+
+    Under "per-pair" the pair is keyed as (min, max) and each index must fit
+    one 32-bit spawn-key word; "shared" ignores the pair.
+    """
+    num_angles = _integer("num_angles", num_angles, 1)
+    master_seed = _integer("master_seed", master_seed, 0)
+    if policy not in ANGLE_POLICIES:
+        raise DataValidationError(f"unknown angle policy {policy!r}")
+    pairs = None
     if policy == "per-pair":
-        lo, hi = (i, j) if i < j else (j, i)
-        return ProjectionAngleSet.generate(master_seed, num_angles, pair=(lo, hi))
-    if policy == "shared":
-        return ProjectionAngleSet.generate(master_seed, num_angles)
-    raise DataValidationError(f"unknown angle policy {policy!r}")
+        i, j = (_integer("pair indices", k, 0, 2**32 - 1) for k in (i, j))
+        pairs = np.array([[min(i, j), max(i, j)]])
+    angles = _philox_angles(master_seed, num_angles, pairs)[0]
+    angles.flags.writeable = False
+    return angles
+
+
+def _projected_ks_values(pt: np.ndarray, qt: np.ndarray, pair_i, pair_j, angles: np.ndarray) -> np.ndarray:
+    """Mean KS over the projections of each pair, one value per row of ``angles``.
+
+    ``pt`` and ``qt`` are the (D, N) and (D, M) transposed samples; row r of
+    the (P, L) ``angles`` table holds the angles of pair (pair_i[r],
+    pair_j[r]). All P*L projections go to one kernel call.
+    """
+    num_angles = angles.shape[1]
+    flat = angles.ravel()
+    cols_i = np.repeat(pair_i, num_angles)
+    cols_j = np.repeat(pair_j, num_angles)
+    cos, sin = np.cos(flat), np.sin(flat)
+    rp = _project_rows(pt, cols_i, cols_j, cos, sin)
+    rq = _project_rows(qt, cols_i, cols_j, cos, sin)
+    return _ks_merged(rp.T, rq.T).reshape(-1, num_angles).mean(axis=1)
+
+
+def _check_pair(p: Dataset, q: Dataset, i: int, j: int) -> tuple[int, int]:
+    _check_same_columns(p, q)
+    d = p.num_features
+    i, j = _integer("i", i, 0, d - 1), _integer("j", j, 0, d - 1)
+    if i == j:
+        raise DataValidationError("projection requires distinct features")
+    return i, j
+
+
+def projected_ks(p: Dataset, q: Dataset, i: int, j: int, angles) -> float:
+    """Mean KS statistic over the projections of feature pair (i, j) at ``angles``.
+
+    ``angles`` is a non-empty 1-D array-like in [0, pi), such as
+    ``pair_angles``'s. Deterministic given the angles; Monte-Carlo estimate
+    of the expected projected KS distance when they are uniform draws.
+    """
+    i, j = _check_pair(p, q, i, j)
+    arr = np.asarray(angles, dtype=np.float64)
+    if arr.ndim != 1 or arr.size < 1:
+        raise DataValidationError("angle set must hold at least one angle")
+    _angles(arr)
+    return float(_projected_ks_values(p.values.T, q.values.T, [i], [j], arr[None])[0])
+
+
+def projected_ks_grid(p: Dataset, q: Dataset, i: int, j: int, grid_size: int = 10_000) -> float:
+    """Deterministic midpoint-grid quadrature of the projected KS distance.
+
+    Reference value for validating the Monte-Carlo estimate at a chosen
+    angle budget; cost grows linearly in ``grid_size``.
+    """
+    grid_size = _integer("grid_size", grid_size, 1)
+    return projected_ks(p, q, i, j, (np.arange(grid_size) + 0.5) * (np.pi / grid_size))
 
 
 def build_ks_matrix(
@@ -134,14 +196,8 @@ def build_ks_matrix(
     values = np.empty(num_pairs)
 
     def eval_chunk(start):
-        stop = start + step
-        chunk_angles = angles[start:stop].ravel()
-        cols_i = np.repeat(pair_i[start:stop], num_angles)
-        cols_j = np.repeat(pair_j[start:stop], num_angles)
-        cos, sin = np.cos(chunk_angles), np.sin(chunk_angles)
-        rp = _project_rows(pt, cols_i, cols_j, cos, sin)
-        rq = _project_rows(qt, cols_i, cols_j, cos, sin)
-        values[start:stop] = _ks_merged(rp.T, rq.T).reshape(-1, num_angles).mean(axis=1)
+        chunk = slice(start, start + step)
+        values[chunk] = _projected_ks_values(pt, qt, pair_i[chunk], pair_j[chunk], angles[chunk])
 
     starts = range(0, num_pairs, step)
     if jobs == 1 or len(starts) < 2:

@@ -29,7 +29,7 @@ from ksdiff import (
     save_dataset_csv,
 )
 from ksdiff.cli import main
-from ksdiff.ks import _projected_ks_values
+from ksdiff.matrix import _projected_ks_values
 
 from conftest import brute_force_min, ks_jump_oracle, random_sample_pair, structured_instance
 
@@ -168,10 +168,10 @@ def test_criterion_6_angle_sampling_concentration():
     angles = rng.uniform(0.0, np.pi, size=(num_sets, num_angles))
     estimates = np.empty(num_sets)
     chunk = 1000
+    zeros, ones = np.zeros(chunk, int), np.ones(chunk, int)
     for start in range(0, num_sets, chunk):
-        flat = angles[start : start + chunk].ravel()
-        values = _projected_ks_values(p, q, 0, 1, flat)
-        estimates[start : start + chunk] = values.reshape(-1, num_angles).mean(axis=1)
+        sets = angles[start : start + chunk]
+        estimates[start : start + chunk] = _projected_ks_values(p.values.T, q.values.T, zeros, ones, sets)
     exceed = float(np.mean(np.abs(estimates - reference) > delta))
     bound = 2.0 * math.exp(-2.0 * delta**2 * num_angles) + 0.01
     assert _report(

@@ -6,18 +6,18 @@ from ksdiff import (
     Dataset,
     GroundTruth,
     PerturbationSpec,
-    ProjectionAngleSet,
     auroc,
     check_conditions,
     dataset_from_array,
     edf_eval,
-    estimate_precision_cv,
     gen_example1,
     gen_example2,
     load_dataset_csv,
     kl_lower_bound_check,
     optimality_margin,
+    pair_angles,
     projected_ks,
+    projected_ks_grid,
     recovery_trial,
     repetition_seed,
     sample_bound,
@@ -133,7 +133,7 @@ _UNIT_DATASET = dataset_from_array(np.random.default_rng(2).normal(size=(30, 3))
         (gen_example2, (True, 1), "n"),
         (repetition_seed, (1.5, 10, 1), "master_seed"),
         (repetition_seed, (1, 10.0, 1), "n"),
-        (estimate_precision_cv, (_UNIT_DATASET, 1.5), "seed"),
+        (projected_ks_grid, (_UNIT_DATASET, _UNIT_DATASET, 0, 1, 10.0), "grid_size"),
         (sample_bound, (1.5, 0.5, 10, 0.1), "k"),
         (sample_bound, (2, 0.5, 10.0, 0.1), "dim"),
         (optimality_margin, (np.zeros((3, 3)), [2], 2.0), "k"),
@@ -165,7 +165,7 @@ _WEIGHTS = np.array([[0.5, 0.1, 0.2], [0.1, 0.0, 0.1], [0.2, 0.1, 0.0]])
         (sample_bound, (1, 0.5, 10, "0.1"), "epsilon"),
         (kl_lower_bound_check, ("0.1", 0.2), "sigma_ij"),
         (projected_ks, (_UNIT_DATASET, _UNIT_DATASET, 0.7, 1, [0.1]), "i"),
-        (ProjectionAngleSet.generate, (1, 4, (1.5, 2)), "pair indices"),
+        (pair_angles, (1, 4, 1.5, 2, "per-pair"), "pair indices"),
     ],
     ids=[
         "check_conditions-index",
@@ -181,7 +181,7 @@ _WEIGHTS = np.array([[0.5, 0.1, 0.2], [0.1, 0.0, 0.1], [0.2, 0.1, 0.0]])
         "sample_bound-epsilon",
         "kl_lower_bound_check-correlation",
         "projected_ks-index",
-        "ProjectionAngleSet-pair",
+        "pair_angles-pair",
     ],
 )
 def test_indices_and_reals_rejected_not_coerced(function, args, field):

@@ -12,18 +12,19 @@ from scipy import stats
 
 from ksdiff import (
     DataValidationError,
-    ProjectionAngleSet,
     build_ks_matrix,
     dataset_from_array,
     edf_eval,
     ks_empirical,
     ks_empirical_columns,
+    pair_angles,
     projected_ks,
     projected_ks_grid,
 )
 
 from ksdiff import _native
 from ksdiff.ks import _ks_merged, _ks_merged_numpy, _philox_angles, _project_rows
+from ksdiff.matrix import _projected_ks_values
 
 from conftest import ks_jump_oracle, random_sample_pair
 
@@ -301,29 +302,36 @@ class TestProjection:
 
 class TestAngleSet:
     def test_regeneration_is_identical(self):
-        a = ProjectionAngleSet.generate(99, 32, pair=(2, 5))
-        b = ProjectionAngleSet.generate(99, 32, pair=(2, 5))
-        assert np.array_equal(a.angles, b.angles)
+        a = pair_angles(99, 32, 2, 5, "per-pair")
+        assert np.array_equal(a, pair_angles(99, 32, 2, 5, "per-pair"))
+        # a pair is keyed as (min, max), whatever the argument order
+        assert np.array_equal(a, pair_angles(99, 32, 5, 2, "per-pair"))
 
     def test_distinct_pairs_differ(self):
-        a = ProjectionAngleSet.generate(99, 32, pair=(2, 5))
-        b = ProjectionAngleSet.generate(99, 32, pair=(2, 6))
-        assert not np.array_equal(a.angles, b.angles)
+        a = pair_angles(99, 32, 2, 5, "per-pair")
+        b = pair_angles(99, 32, 2, 6, "per-pair")
+        assert not np.array_equal(a, b)
 
     def test_domain(self):
-        a = ProjectionAngleSet.generate(0, 10_000)
-        assert np.all(a.angles >= 0.0) and np.all(a.angles < np.pi)
+        a = pair_angles(0, 10_000, 0, 1, "shared")
+        assert np.all(a >= 0.0) and np.all(a < np.pi)
 
     def test_out_of_domain_rejected(self):
-        with pytest.raises(DataValidationError):
-            ProjectionAngleSet(np.array([0.1, np.pi]), seed=0)
+        ds = dataset_from_array(np.random.default_rng(8).normal(size=(20, 2)))
+        for angles in ([0.1, np.pi], [-0.1]):
+            with pytest.raises(DataValidationError, match=r"\[0, pi\)"):
+                projected_ks(ds, ds, 0, 1, angles)
 
     @pytest.mark.parametrize("angles", [[np.nan], [0.3, np.nan]], ids=["nan", "0.3,nan"])
     def test_nan_angle_rejected(self, angles):
         ds = dataset_from_array(np.random.default_rng(8).normal(size=(20, 2)))
         with pytest.raises(DataValidationError, match=r"\[0, pi\)"):
-            ProjectionAngleSet(angles, seed=0)
-        with pytest.raises(DataValidationError, match=r"\[0, pi\)"):
+            projected_ks(ds, ds, 0, 1, angles)
+
+    @pytest.mark.parametrize("angles", [[], [[0.1, 0.2]], 0.1], ids=["empty", "2-D", "scalar"])
+    def test_angle_list_must_be_non_empty_and_1d(self, angles):
+        ds = dataset_from_array(np.random.default_rng(8).normal(size=(20, 2)))
+        with pytest.raises(DataValidationError, match="at least one angle"):
             projected_ks(ds, ds, 0, 1, angles)
 
     @settings(max_examples=200, deadline=None)
@@ -350,20 +358,27 @@ class TestAngleSet:
         assert table.tobytes() == expected.tobytes()
         # the shared policy draws with no spawn key
         assert _philox_angles(seed, count).tobytes() == numpy_angles()[None].tobytes()
-        generated = ProjectionAngleSet.generate(seed, count, pair=pairs[0]).angles
-        assert generated.tobytes() == expected[0].tobytes()
+        assert pair_angles(seed, count, 7, 8, "shared").tobytes() == numpy_angles().tobytes()
+        lo, hi = sorted(pairs[0])
+        generated = pair_angles(seed, count, hi, lo, "per-pair")
+        assert not generated.flags.writeable
+        assert generated.tobytes() == _philox_angles(seed, count, np.array([[lo, hi]]))[0].tobytes()
 
     def test_non_integer_count_or_seed_rejected(self):
-        with pytest.raises(DataValidationError, match="count must be an integer"):
-            ProjectionAngleSet.generate(1, 4.0)
-        with pytest.raises(DataValidationError, match="seed must be an integer"):
-            ProjectionAngleSet.generate(1.5, 4)
+        with pytest.raises(DataValidationError, match="num_angles must be an integer"):
+            pair_angles(1, 4.0, 0, 1, "per-pair")
+        with pytest.raises(DataValidationError, match="master_seed must be an integer"):
+            pair_angles(1.5, 4, 0, 1, "shared")
 
     def test_pair_indices_beyond_one_word_rejected(self):
         with pytest.raises(DataValidationError, match="pair indices"):
-            ProjectionAngleSet.generate(1, 4, pair=(2**32, 0))
+            pair_angles(1, 4, 2**32, 0, "per-pair")
         with pytest.raises(DataValidationError, match="pair indices"):
-            ProjectionAngleSet.generate(1, 4, pair=(-1, 0))
+            pair_angles(1, 4, -1, 0, "per-pair")
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(DataValidationError, match="unknown angle policy"):
+            pair_angles(1, 4, 0, 1, "zigzag")
 
 
 class TestProjectedKs:
@@ -376,7 +391,7 @@ class TestProjectedKs:
 
     def test_identical_datasets_zero(self, pair):
         p, _ = pair
-        angles = ProjectionAngleSet.generate(4, 25, pair=(0, 1))
+        angles = pair_angles(4, 25, 0, 1, "per-pair")
         assert projected_ks(p, p, 0, 1, angles) == 0.0
 
     def test_single_zero_angle_reduces_to_first_column(self, pair):
@@ -385,26 +400,38 @@ class TestProjectedKs:
 
     def test_bounds_and_symmetry(self, pair):
         p, q = pair
-        angles = ProjectionAngleSet.generate(8, 16, pair=(0, 1))
+        angles = pair_angles(8, 16, 0, 1, "per-pair")
         d = projected_ks(p, q, 0, 1, angles)
         assert 0.0 <= d <= 1.0
         assert d == projected_ks(q, p, 0, 1, angles)
 
     def test_common_affine_map_invariance_exact(self, pair):
         p, q = pair
-        angles = ProjectionAngleSet.generate(123, 16, pair=(0, 2))
+        angles = pair_angles(123, 16, 0, 2, "per-pair")
         base = projected_ks(p, q, 0, 2, angles)
         # same positive scale and shift on both coordinates of both datasets
         p2 = dataset_from_array(3.5 * p.values + 1.25, p.names)
         q2 = dataset_from_array(3.5 * q.values + 1.25, q.names)
         assert projected_ks(p2, q2, 0, 2, angles) == base
 
+    @pytest.mark.parametrize("other", ["five columns", "renamed copy"])
+    def test_datasets_with_different_columns_rejected(self, pair, other):
+        p, q = pair
+        if other == "five columns":
+            q = dataset_from_array(np.random.default_rng(5).normal(size=(40, 5)))
+        else:
+            q = dataset_from_array(q.values, ("a", "b", "c"))
+        with pytest.raises(DataValidationError, match="column names differ"):
+            projected_ks(p, q, 0, 2, [0.3])
+        with pytest.raises(DataValidationError, match="column names differ"):
+            projected_ks_grid(p, q, 0, 2, grid_size=7)
+
     def test_monte_carlo_agrees_with_grid_quadrature(self, pair):
         p, q = pair
-        angles = ProjectionAngleSet.generate(77, 10_000, pair=(0, 1))
-        from ksdiff.ks import _projected_ks_values
-
-        values = _projected_ks_values(p, q, 0, 1, angles.angles)
+        angles = pair_angles(77, 10_000, 0, 1, "per-pair")
+        # one single-angle row per angle gives the per-angle statistics
+        zeros, ones = np.zeros(angles.size, int), np.ones(angles.size, int)
+        values = _projected_ks_values(p.values.T, q.values.T, zeros, ones, angles[:, None])
         estimate = float(values.mean())
         stderr = float(values.std(ddof=1) / np.sqrt(values.size))
         reference = projected_ks_grid(p, q, 0, 1, grid_size=10_000)

@@ -15,6 +15,7 @@ from ksdiff import (
     load_dataset_csv,
     load_matrix,
     pair_angles,
+    projected_ks,
     save_matrix,
 )
 
@@ -52,7 +53,7 @@ class TestBuild:
         for i in range(3):
             assert m.entries[i, i] == ks_jump_oracle(p.values[:, i], q.values[:, i])
             for j in range(i + 1, 3):
-                angles = pair_angles(seed, num_angles, i, j, "per-pair").angles
+                angles = pair_angles(seed, num_angles, i, j, "per-pair")
                 per_angle = np.array(
                     [
                         ks_jump_oracle(
@@ -79,8 +80,8 @@ class TestBuild:
         rng = np.random.default_rng(2)
         p, q = _random_pair(rng, d=3)
         m = build_ks_matrix(p, q, 10, 5, angle_policy="shared")
-        shared = pair_angles(5, 10, 0, 1, "shared").angles
-        assert np.array_equal(pair_angles(5, 10, 1, 2, "shared").angles, shared)
+        shared = pair_angles(5, 10, 0, 1, "shared")
+        assert np.array_equal(pair_angles(5, 10, 1, 2, "shared"), shared)
         per_angle = [
             ks_jump_oracle(
                 p.values[:, 0] * np.cos(t) + p.values[:, 2] * np.sin(t),
@@ -89,6 +90,14 @@ class TestBuild:
             for t in shared
         ]
         assert m.entries[0, 2] == np.mean(per_angle)
+
+    def test_entry_equals_projected_ks_at_pair_angles(self):
+        p, q = _random_pair(np.random.default_rng(6), d=5)
+        for policy in ("per-pair", "shared"):
+            m = build_ks_matrix(p, q, 10, 13, angle_policy=policy, jobs=2)
+            for i, j in ((0, 1), (1, 4), (3, 4)):
+                angles = pair_angles(13, 10, i, j, policy)
+                assert m.entries[i, j] == projected_ks(p, q, i, j, angles)
 
     def test_name_mismatch_rejected(self):
         p = dataset_from_array(np.zeros((2, 2)), names=("a", "b"))
@@ -186,6 +195,13 @@ class TestFileRoundTrip:
         with pytest.raises(DataValidationError) as exc:
             load_matrix(path)
         assert str(exc.value) == f"{path}: line 2: missing feature-name header"
+
+    def test_duplicate_names_rejected(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("# ksdiff-matrix L=10 seed=0 policy=per-pair\na,a\n0.0,0.5\n0.5,0.0\n")
+        with pytest.raises(DataValidationError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == f"{path}: duplicate feature names"
 
     def test_too_few_rows_reported_as_row_count(self, tmp_path):
         path = tmp_path / "h.csv"
