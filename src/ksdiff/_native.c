@@ -1,4 +1,7 @@
-/* Two-sample KS statistics of presorted rows, one merge scan per row.
+/* The native helpers of ksdiff, built as one library: the KS merge scan
+ * (ks_scan) and the strict parser of a table's body (parse_table).
+ *
+ * ks_scan: two-sample KS statistics of presorted rows, one merge scan per row.
  *
  * Row r of the block at data + r * stride holds sample a sorted ascending in
  * its first n slots, one free slot, then sample b sorted ascending in the
@@ -19,8 +22,11 @@
  * don't affect mergesort").
  */
 
+#define _GNU_SOURCE
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 typedef struct {
     const double *row;
@@ -99,4 +105,69 @@ void ks_scan(double *data, int64_t stride, int64_t n, int64_t m, int64_t k, doub
             row_step(&s, t, n, m);
         out[r] = s.gap;
     }
+}
+
+/* parse_table: the rows of a table's body, or -1 when the body is not in the
+ * strict form. text[start:len] must be `rows` rows of d fields; fields are
+ * separated by ',', every row but the last ends in '\n', the last may too,
+ * and each field is an ASCII decimal [+-]digits[.digits][(e|E)[+-]digits].
+ * Anything else (a blank line, a space, a quote, '\r', a non-ASCII byte, a
+ * ragged row) declines the whole body, and so do a field longer than
+ * max_field bytes and a value that is not finite. Each field is converted by
+ * strtod_l in the "C" locale, which rounds correctly, as Python's float()
+ * does, whatever LC_NUMERIC says. text[len] must be NUL, as it is at the end
+ * of a Python bytes object, so no read passes the end. out receives rows * d
+ * values in row order. */
+static const char *decimal_end(const char *p) {
+    const char *digits;
+    if (*p == '+' || *p == '-')
+        p++;
+    for (digits = p; *p >= '0' && *p <= '9'; p++)
+        ;
+    if (p == digits)
+        return NULL;
+    if (*p == '.') {
+        for (digits = ++p; *p >= '0' && *p <= '9'; p++)
+            ;
+        if (p == digits)
+            return NULL;
+    }
+    if (*p == 'e' || *p == 'E') {
+        if (*++p == '+' || *p == '-')
+            p++;
+        for (digits = p; *p >= '0' && *p <= '9'; p++)
+            ;
+        if (p == digits)
+            return NULL;
+    }
+    return p;
+}
+
+int64_t parse_table(const char *text, int64_t start, int64_t len, int64_t d, int64_t rows, int64_t max_field,
+                    double *out) {
+    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+    if (c_locale == (locale_t)0)
+        return -1;
+    const char *p = text + start, *stop = text + len;
+    int64_t r = 0, ok = 1;
+    for (; ok && r < rows && p < stop; r++) {
+        for (int64_t c = 0; c < d; c++) {
+            const char *end = decimal_end(p);
+            char sep = c + 1 < d ? ',' : '\n';
+            if (end == NULL || end - p > max_field || !(*end == sep || (end == stop && c + 1 == d))) {
+                ok = 0;
+                break;
+            }
+            char *parsed;
+            double v = strtod_l(p, &parsed, c_locale);
+            if (parsed != end || !isfinite(v)) {
+                ok = 0;
+                break;
+            }
+            out[r * d + c] = v;
+            p = end + (end < stop);
+        }
+    }
+    freelocale(c_locale);
+    return ok && r == rows && p == stop ? rows : -1;
 }

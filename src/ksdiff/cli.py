@@ -3,9 +3,10 @@
 Subcommands: ``select`` (rank features that differ between two CSVs),
 ``matrix`` (build and save the pairwise KS matrix), ``perturb`` (inject a
 controlled change into a CSV), ``experiment`` (seeded multi-repetition AUROC
-sweep from a JSON spec), ``check`` (identifiability report for a saved
-matrix). Exit codes: 0 success, 2 usage or input error, 3 solver size limit.
-Seeds are always explicit; no subcommand mutates its input files.
+sweep from a JSON spec; failed cells go to ``errors.csv``), ``check``
+(identifiability report for a saved matrix). Exit codes: 0 success, 2 usage
+or input error, 3 solver size limit. Seeds are always explicit; no
+subcommand mutates its input files.
 """
 
 from __future__ import annotations
@@ -207,6 +208,7 @@ def _cmd_experiment(args) -> int:
     evaluate.write_report_csv(reports, os.path.join(args.out_dir, "report.csv"))
     evaluate.write_aggregate_json(reports, os.path.join(args.out_dir, "aggregate.json"))
     evaluate.write_auroc_vs_n_csv(reports, os.path.join(args.out_dir, "auroc_vs_N.csv"))
+    evaluate.write_errors_csv(reports, os.path.join(args.out_dir, "errors.csv"))
     return 0
 
 

@@ -4,6 +4,11 @@ A dataset is an N x D matrix of finite reals with named feature columns.
 Indices are 0-based throughout; column names are display labels only.
 A table (a name header, then one row of decimals per line) is read and
 written here for dataset CSVs and, past their provenance line, matrix files.
+A table in a strict form (plain ASCII decimals, no quotes, blanks or carriage
+returns) is parsed by ``parse_table`` of the native library; any other, or
+every table when the library cannot be built, is read with ``csv`` and
+``float``, which accept and reject the same files with the same values and
+messages.
 Every integer parameter and feature index of the library passes through
 ``_integer``, with the range [0, D-1] for an index when D is known, and
 every real parameter through ``_finite``; neither coerces. The feature names
@@ -12,13 +17,16 @@ of a dataset and of a KS matrix both pass through ``_check_names``.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import os
 import sys
 from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
 
+from . import _native
 from .errors import ConfigFieldError, DataValidationError
 
 
@@ -137,8 +145,14 @@ def load_dataset_csv(path) -> Dataset:
 def _read_table(fh, path, header_line: int) -> tuple[tuple[str, ...], np.ndarray]:
     """Names and (R, D) values of a table whose name header is line ``header_line`` of ``fh``.
 
-    Blank lines are skipped; errors name the first defect in file order.
+    Blank lines are skipped; errors name the first defect in file order. A
+    table in the strict form of ``_read_table_native`` is parsed natively;
+    any other is read here, so the accepted tables, their values and the
+    errors are those of this reader.
     """
+    fast = _read_table_native(fh, header_line)
+    if fast is not None:
+        return fast
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -163,6 +177,53 @@ def _read_table(fh, path, header_line: int) -> tuple[tuple[str, ...], np.ndarray
     return tuple(names), _check_finite_rows(path, names, rows, linenos)
 
 
+def _read_table_native(fh, header_line: int):
+    """The names and values of ``_read_table``, or None when the native parser declines the file.
+
+    The file is read whole through the descriptor of ``fh``, whose position
+    does not move. The lines up to the header must be UTF-8 without a
+    byte-order mark, a quote, a NUL or a carriage return, and the header must
+    not be blank. The body must hold at least one row, and every row exactly
+    one ASCII decimal ``[+-]digits[.digits][(e|E)[+-]digits]`` per name,
+    separated by commas, each row ending in a newline (the last one may
+    not), and every value finite. No field may pass ``csv.field_size_limit``.
+    These are the same names and values the ``csv`` reader gives such a file.
+    """
+    parse = _native.parse_table()
+    if parse is None:
+        return None
+    try:
+        fd = fh.fileno()
+        size = os.fstat(fd).st_size
+        raw = os.pread(fd, size, 0)
+    except (OSError, ValueError):
+        return None
+    if len(raw) != size:
+        return None
+    start = 0
+    for _ in range(header_line):
+        end = raw.find(b"\n", start)
+        if end < 0:
+            return None
+        header, start = raw[start:end], end + 1
+    head = raw[:start]
+    if not header or head.startswith(codecs.BOM_UTF8) or any(c in head for c in (b"\r", b'"', b"\0")):
+        return None
+    try:
+        fields = header.decode("utf-8").split(",")
+    except UnicodeDecodeError:
+        return None
+    # csv.reader raises on a field longer than its limit; such a table is left to it
+    limit = csv.field_size_limit()
+    rows = raw.count(b"\n", start) + (not raw.endswith(b"\n"))
+    if not rows or max(map(len, fields)) > limit:
+        return None
+    values = np.empty((rows, len(fields)))
+    if parse(raw, start, len(raw), len(fields), rows, limit, values.ctypes.data) < 0:
+        return None
+    return tuple(h.strip() for h in fields), values
+
+
 def _check_finite_rows(path, names, rows, linenos) -> np.ndarray:
     """Stack parsed rows, rejecting the first non-finite value in file order."""
     values = np.asarray(rows, dtype=np.float64)
@@ -175,6 +236,9 @@ def _check_finite_rows(path, names, rows, linenos) -> np.ndarray:
     return values
 
 
+_ROWS_PER_WRITE = 1024
+
+
 def save_dataset_csv(ds: Dataset, path) -> None:
     """Write a dataset CSV with full-precision (round-trippable) decimals."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -184,5 +248,7 @@ def save_dataset_csv(ds: Dataset, path) -> None:
 def _write_table(fh, names, values) -> None:
     """Write the name header and one row of round-trippable decimals per row of ``values``."""
     fh.write(",".join(names) + "\n")
-    for row in values:
-        fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    # one join per block of rows: as fast as one per table, without the table's text in memory
+    for start in range(0, len(values), _ROWS_PER_WRITE):
+        rows = values[start : start + _ROWS_PER_WRITE].tolist()
+        fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))

@@ -9,6 +9,7 @@ and reruns are reproducible regardless of execution order or parallelism.
 
 from __future__ import annotations
 
+import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -193,6 +194,16 @@ def write_report_csv(reports: list[ExperimentReport], path) -> None:
                 fh.write(
                     f"{report.method},{rec.n},{rec.seed},{repr(rec.auroc)},{repr(rec.runtime_sec)}\n"
                 )
+
+
+def write_errors_csv(reports: list[ExperimentReport], path) -> None:
+    """One row per failed cell: method,N,rep_seed,error; only the header when none failed."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("method", "N", "rep_seed", "error"))
+        for report in reports:
+            failed = (rec for rec in report.records if rec.error is not None)
+            writer.writerows((report.method, rec.n, rec.seed, rec.error) for rec in failed)
 
 
 def aggregate_dict(reports: list[ExperimentReport]) -> dict:

@@ -21,12 +21,12 @@ layout, so pooling them copies whole rows instead of transposing. A gap
 between the EDFs is only valid at the end of a run of equal values.
 
 Each half of a row is sorted by numpy, and the statistic is found by one
-merge scan in C (``ks_scan.c``). On the first kernel call, not at import, the
-source is compiled with the local ``cc`` into ``$XDG_CACHE_HOME/ksdiff``, or
-``~/.cache/ksdiff`` when that is unset, and later processes load it from
-there. Without a compiler or a writable cache, and for samples with
-``N*M >= 2**50``, the numpy kernel ``_ks_merged_numpy`` runs instead; both
-return the same bytes.
+merge scan in C (``ks_scan`` in ``_native.c``). On the first native call, not
+at import, the source is compiled with the local ``cc`` into
+``$XDG_CACHE_HOME/ksdiff``, or ``~/.cache/ksdiff`` when that is unset, and
+later processes load it from there. Without a compiler or a writable cache,
+and for samples with ``N*M >= 2**50``, the numpy kernel ``_ks_merged_numpy``
+runs instead; both return the same bytes.
 
 Each input contract has one check here: ``_sample`` for a 1-D sample
 (1-D, non-empty, finite) and ``_angles`` for projection angles (in [0, pi),

@@ -6,6 +6,7 @@ import pytest
 from ksdiff import (
     EmpiricalKsMatrix,
     dataset_from_array,
+    evaluate,
     gen_example2,
     load_matrix,
     save_dataset_csv,
@@ -303,6 +304,31 @@ class TestExperimentCommand:
         table = (out_dir / "auroc_vs_N.csv").read_text().splitlines()
         assert table[0] == "method,N,mean_auroc,std"
         json.loads((out_dir / "aggregate.json").read_text())
+
+    def test_failed_cells_go_to_errors_csv(self, tmp_path, monkeypatch):
+        spec = self._spec(tmp_path, methods=["proposed", "mt"], repetitions=2)
+        clean = tmp_path / "clean"
+        assert main(["experiment", "--spec", spec, "--out-dir", str(clean)]) == 0
+        assert (clean / "errors.csv").read_text() == "method,N,rep_seed,error\n"
+
+        working = evaluate._method_registry
+
+        def registry(num_angles):
+            def boom(p, q, seed):
+                raise RuntimeError("mt failed")
+
+            return {**working(num_angles), "mt": boom}
+
+        monkeypatch.setattr(evaluate, "_method_registry", registry)
+        failed = tmp_path / "failed"
+        assert main(["experiment", "--spec", spec, "--out-dir", str(failed)]) == 0
+        seeds = [line.split(",")[2] for line in (clean / "report.csv").read_text().splitlines()[1:3]]
+        assert (failed / "errors.csv").read_text().splitlines() == [
+            "method,N,rep_seed,error",
+            *(f"mt,60,{seed},mt failed" for seed in seeds),
+        ]
+        # the failure is in errors.csv only; report.csv keeps its columns
+        assert (failed / "report.csv").read_text().splitlines()[0] == "method,N,rep_seed,auroc,runtime_sec"
 
     def test_rerun_aggregates_identical(self, tmp_path):
         spec = self._spec(tmp_path, repetitions=2)

@@ -1,9 +1,14 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ksdiff import (
     DataValidationError,
     Dataset,
+    EmpiricalKsMatrix,
     GroundTruth,
     PerturbationSpec,
     auroc,
@@ -14,6 +19,7 @@ from ksdiff import (
     gen_example2,
     load_dataset_csv,
     kl_lower_bound_check,
+    load_matrix,
     optimality_margin,
     pair_angles,
     projected_ks,
@@ -22,8 +28,11 @@ from ksdiff import (
     repetition_seed,
     sample_bound,
     save_dataset_csv,
+    save_matrix,
     standardize,
 )
+from ksdiff import _native
+from ksdiff.data import _read_table_native
 from ksdiff.errors import ConfigFieldError
 
 
@@ -105,6 +114,140 @@ class TestCsvRoundTrip:
         with_bom, without = load_dataset_csv(bom), load_dataset_csv(plain)
         assert with_bom.names == without.names == ("a", "b")
         assert with_bom.values.tobytes() == without.values.tobytes()
+
+
+def _native_parse(path, header_line: int = 1):
+    if _native.parse_table() is None:
+        pytest.skip("the native parser could not be built")
+    with open(path, "rb") as fh:
+        return _read_table_native(fh, header_line)
+
+
+def _load_outcome(path):
+    """What loading ``path`` gives: its names and value bytes, or the error message."""
+    try:
+        ds = load_dataset_csv(path)
+    except DataValidationError as exc:
+        return str(exc)
+    return ds.names, ds.values.tobytes()
+
+
+def _digits(low, high):
+    return st.text("0123456789", min_size=low, max_size=high)
+
+
+# decimals of the strict grammar [+-]digits[.digits][(e|E)[+-]digits], weighted
+# towards what float() must round with care
+_SIGN = st.sampled_from(["", "+", "-"])
+_EXPONENT = st.one_of(st.integers(-330, -300), st.integers(300, 310), st.integers(-30, 30))
+_DECIMAL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(0, 2.3e-308).map(lambda v: f"-{v!r}"),
+    st.builds("{}{}{}".format, _SIGN, _digits(1, 40), st.just("") | _digits(1, 40).map(".".__add__)),
+    # 17 to 40 significant digits, scaled near the ends of the float range
+    st.builds(
+        "{}{}{}{}".format, _SIGN, _digits(17, 40).map(lambda m: f"{m[0]}.{m[1:]}"), st.sampled_from("eE"), _EXPONENT
+    ),
+    st.sampled_from(["0", "-0", "+0", "-0.0", "0e0", "-0.000e-400", "5e-324", "-2.4703282292062328e-324"]),
+)
+
+
+def _row(d):
+    return st.lists(_DECIMAL, min_size=d, max_size=d)
+
+
+class TestNativeParser:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(_row(d), min_size=1, max_size=5)), st.booleans())
+    @example([["1.7976931348623157e308", "-1.7976931348623158e308"]], True)
+    @example([["4.9406564584124654e-324", "2.4703282292062327e-324", "2.4703282292062328e-324"]], False)
+    @example([["1.8e308"]], True)
+    def test_values_equal_float_bytes(self, tmp_path_factory, rows, last_newline):
+        d = len(rows[0])
+        body = "\n".join(",".join(row) for row in rows) + ("\n" if last_newline else "")
+        content = (",".join(f"c{j}" for j in range(d)) + "\n" + body).encode("ascii")
+        path = tmp_path_factory.mktemp("parse") / "table.csv"
+        path.write_bytes(content)
+        parsed = _native_parse(path)
+        expected = np.array([[float(v) for v in row] for row in rows])
+        if not np.all(np.isfinite(expected)):
+            assert parsed is None
+            return
+        names, values = parsed
+        assert names == tuple(f"c{j}" for j in range(d))
+        assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'a,b\n"1.0",2.0\n',
+            b"a,b\n 1.0,2.0 \n",
+            b"a,b\n1.0,inf\n",
+            b"a,b\nnan,2.0\n",
+            b"a,b\n1_0,2.0\n",
+            b"a,b\n.5,2.0\n",
+            b"a,b\n5.,2.0\n",
+            "a,b\n\uff11\uff12,2.0\n".encode(),
+            b"a,b\r\n1.0,2.0\r\n",
+            b"a,b\n1.0,2.0\n\n3.0,4.0\n",
+            b"a,b\n1.0,2.0\n3.0\n",
+            b"a,b\n1.0,2.0,\n",
+            b"a,b\n1e400,2.0\n",
+            b"\xef\xbb\xbfa,b\n1.0,2.0\n",
+            b"a,b\n0x1p3,2.0\n",
+            b"a,b\n1e,2.0\n",
+            b'"a,b",c\n1.0,2.0\n',
+            b"a,b\n",
+        ],
+        ids=[
+            "quoted-field", "spaces", "inf", "nan", "underscore", "no-leading-digit",
+            "no-trailing-digit", "full-width-digits", "crlf", "blank-line", "ragged-row",
+            "trailing-comma", "overflow", "byte-order-mark", "hex-float", "empty-exponent",
+            "quoted-header", "no-rows",
+        ],
+    )
+    def test_declined_input_loads_as_without_native(self, tmp_path, monkeypatch, content):
+        path = tmp_path / "table.csv"
+        path.write_bytes(content)
+        assert _native_parse(path) is None
+        outcome = _load_outcome(path)
+        with monkeypatch.context() as m:
+            m.setattr(_native, "_tried", True)
+            m.setattr(_native, "_lib", None)
+            assert _load_outcome(path) == outcome
+
+    def test_field_over_csv_limit_is_left_to_csv(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"a,b\n0.10000000000000001,2.0\n")
+        limit = csv.field_size_limit(8)
+        try:
+            assert _native_parse(path) is None
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                load_dataset_csv(path)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_written_tables_take_the_fast_path(self, tmp_path):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(30, 3)) * 10.0 ** rng.integers(-300, 300, size=(30, 3))
+        values[0] = [-0.0, 5e-324, -np.finfo(np.float64).max]
+        path = tmp_path / "ds.csv"
+        save_dataset_csv(dataset_from_array(values), path)
+        names, parsed = _native_parse(path)
+        assert names == ("x1", "x2", "x3")
+        assert parsed.tobytes() == values.tobytes()
+
+    def test_matrix_file_round_trips_through_the_fast_path(self, tmp_path):
+        w = np.random.default_rng(5).uniform(size=(6, 6))
+        m = EmpiricalKsMatrix((w + w.T) / 2, tuple("abcdef"), 10, 3, "per-pair")
+        path = tmp_path / "m.csv"
+        save_matrix(m, path)
+        names, entries = _native_parse(path, header_line=2)
+        assert names == m.names
+        assert entries.tobytes() == m.entries.tobytes()
+        back = load_matrix(path)
+        assert back.entries.tobytes() == m.entries.tobytes()
+        assert (back.names, back.master_seed) == (m.names, 3)
 
 
 def test_standardize_zero_mean_unit_variance():

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from ksdiff import (
     repetition_seed,
     run_experiment,
 )
-from ksdiff.evaluate import write_aggregate_json, write_auroc_vs_n_csv, write_report_csv
+from ksdiff.evaluate import write_aggregate_json, write_auroc_vs_n_csv, write_errors_csv, write_report_csv
 
 
 class TestAuroc:
@@ -198,3 +199,21 @@ class TestWriters:
         write_auroc_vs_n_csv(run_experiment(_tiny_config(repetitions=2)), b)
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0] == "method,N,mean_auroc,std"
+
+    def test_errors_csv_lists_failed_cells(self, reports, tmp_path):
+        def boom(p, q, seed):
+            raise RuntimeError(f'scoring failed, seed "{seed}"\nsee log')
+
+        registry = {"mt": boom, "proposed": lambda p, q, seed: np.arange(p.num_features, dtype=float)}
+        failing = run_experiment(_tiny_config(methods=("mt", "proposed")), registry=registry)
+        path = tmp_path / "errors.csv"
+        write_errors_csv(failing, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        seeds = [rec.seed for rec in failing[0].records]
+        assert rows == [["method", "N", "rep_seed", "error"]] + [
+            ["mt", "60", str(seed), f'scoring failed, seed "{seed}"\nsee log'] for seed in seeds
+        ]
+        write_errors_csv(reports, path)
+        assert path.read_text() == "method,N,rep_seed,error\n"
+

@@ -17,9 +17,11 @@ from ksdiff import (
     edf_eval,
     ks_empirical,
     ks_empirical_columns,
+    load_dataset_csv,
     pair_angles,
     projected_ks,
     projected_ks_grid,
+    save_dataset_csv,
 )
 
 from ksdiff import _native
@@ -188,9 +190,9 @@ class TestNativeKernel:
 
 
 def _fresh_loader(monkeypatch, cache_home):
-    """Make the next kernel call load the scan again, caching under ``cache_home``."""
+    """Make the next native call load the library again, caching under ``cache_home``."""
     monkeypatch.setattr(_native, "_tried", False)
-    monkeypatch.setattr(_native, "_scan", None)
+    monkeypatch.setattr(_native, "_lib", None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
 
 
@@ -204,12 +206,17 @@ class TestNativeLoader:
         p = dataset_from_array(np.round(rng.normal(size=(90, 4)), 1))
         q = dataset_from_array(np.round(rng.normal(size=(70, 4)), 1))
         expected = build_ks_matrix(p, q, 6, 11).entries
-        _fresh_loader(monkeypatch, tmp_path)
+        table = tmp_path / "p.csv"
+        save_dataset_csv(p, table)
+        _fresh_loader(monkeypatch, tmp_path / "cache")
         monkeypatch.setattr(_native.subprocess, "run", _no_compiler)
         with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="ksdiff"):
             warnings.simplefilter("error")
-            fallback = build_ks_matrix(p, q, 6, 11).entries
+            loaded = load_dataset_csv(table)
+            fallback = build_ks_matrix(loaded, q, 6, 11).entries
         assert _native.ks_scan() is None
+        assert _native.parse_table() is None
+        assert loaded.values.tobytes() == p.values.tobytes()
         assert fallback.tobytes() == expected.tobytes()
         # tried once per process, so logged once
         assert [r.levelno for r in caplog.records if r.name == "ksdiff"] == [logging.DEBUG]
@@ -220,15 +227,19 @@ class TestNativeLoader:
             pytest.skip("the native kernel could not be built")
         cache = tmp_path / "ksdiff"
         assert cache.stat().st_mode & 0o777 == 0o700
-        assert len(list(cache.glob("ks_scan-*.so"))) == 1
+        assert len(list(cache.glob("_native-*.so"))) == 1
         _fresh_loader(monkeypatch, tmp_path)
         monkeypatch.setattr(_native.subprocess, "run", _no_compiler)
+        assert _native.parse_table() is not None
         assert _native.ks_scan() is not None
 
     def test_concurrent_first_calls_compile_once(self, monkeypatch, tmp_path):
         a, b = _columns(np.arange(40.0) % 7, np.arange(30.0) % 5)
         expected = _ks_merged_numpy(a, b).tobytes()
-        _fresh_loader(monkeypatch, tmp_path)
+        table = tmp_path / "p.csv"
+        ds = dataset_from_array(np.arange(40.0).reshape(10, 4) / 7)
+        save_dataset_csv(ds, table)
+        _fresh_loader(monkeypatch, tmp_path / "cache")
         compiles = []
         run = _native.subprocess.run
 
@@ -240,8 +251,11 @@ class TestNativeLoader:
         threads = 8
         barrier = threading.Barrier(threads)
 
-        def first_call(_):
+        # half the threads first reach the library through the scan, half through the parser
+        def first_call(t):
             barrier.wait(timeout=60)
+            if t % 2:
+                return load_dataset_csv(table).values.tobytes()
             return _ks_merged(a, b).tobytes()
 
         interval = sys.getswitchinterval()
@@ -251,8 +265,10 @@ class TestNativeLoader:
                 results = list(pool.map(first_call, range(threads)))
         finally:
             sys.setswitchinterval(interval)
-        assert results == [expected] * threads
+        assert results == [expected, ds.values.tobytes()] * (threads // 2)
         assert len(compiles) == 1
+        if _native.ks_scan() is not None:
+            assert _native.parse_table() is not None
 
     def test_unwritable_cache_falls_back_to_numpy(self, monkeypatch, tmp_path):
         blocker = tmp_path / "not-a-directory"
@@ -261,6 +277,10 @@ class TestNativeLoader:
         a, b = _columns([1.0, 2.0, 2.0, np.inf], [2.0, 5.0])
         assert ks_empirical_columns(a, b).tobytes() == _ks_merged_numpy(a, b).tobytes()
         assert _native.ks_scan() is None
+        table = tmp_path / "p.csv"
+        table.write_text("a,b\n1.5,-2e3\n0.1,7\n")
+        assert load_dataset_csv(table).values.tobytes() == np.array([[1.5, -2e3], [0.1, 7.0]]).tobytes()
+        assert _native.parse_table() is None
 
     def test_cache_writable_by_others_is_not_loaded(self, monkeypatch, tmp_path):
         (tmp_path / "ksdiff").mkdir(mode=0o777)
