@@ -4,11 +4,13 @@ A dataset is an N x D matrix of finite reals with named feature columns.
 Indices are 0-based throughout; column names are display labels only.
 A table (a name header, then one row of decimals per line) is read and
 written here for dataset CSVs and, past their provenance line, matrix files.
-A table in a strict form (plain ASCII decimals, no quotes, blanks or carriage
+Its file is read once, as bytes, less a leading UTF-8 byte-order mark. A
+table in a strict form (plain ASCII decimals, no quotes, blanks or carriage
 returns) is parsed by ``parse_table`` of the native library; any other, or
 every table when the library cannot be built, is read with ``csv`` and
-``float``, which accept and reject the same files with the same values and
-messages.
+``float`` over a UTF-8 decode of the same bytes, which accept and reject the
+same files with the same values and messages, and name the line of a byte
+that is not UTF-8 or of a field past ``csv.field_size_limit``.
 Every integer parameter and feature index of the library passes through
 ``_integer``, with the range [0, D-1] for an index when D is known, and
 every real parameter through ``_finite``; neither coerces. The feature names
@@ -19,8 +21,11 @@ from __future__ import annotations
 
 import codecs
 import csv
-import os
+import io
+import math
+import re
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -135,84 +140,89 @@ def load_dataset_csv(path) -> Dataset:
     A leading UTF-8 byte-order mark is dropped. Errors name the first defect
     in file order, with its line number.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        names, values = _read_table(fh, path, 1)
+    names, values = _read_table(_read_bytes(path), path, 1)
     if not len(values):
         raise DataValidationError(f"{path}: no data rows")
     return Dataset(names, values)
 
 
-def _read_table(fh, path, header_line: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """Names and (R, D) values of a table whose name header is line ``header_line`` of ``fh``.
+def _read_bytes(path) -> bytes:
+    """The whole file at ``path``, less a leading UTF-8 byte-order mark."""
+    with open(path, "rb") as fh:
+        return fh.read().removeprefix(codecs.BOM_UTF8)
 
-    Blank lines are skipped; errors name the first defect in file order. A
-    table in the strict form of ``_read_table_native`` is parsed natively;
-    any other is read here, so the accepted tables, their values and the
-    errors are those of this reader.
+
+def _read_table(raw: bytes, path, header_line: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Names and (R, D) values of a table whose name header is line ``header_line`` of ``raw``.
+
+    Blank lines are skipped; errors name the first defect in file order, but
+    a byte that is not UTF-8 is found a decoded chunk (8 KiB) ahead. A table
+    in the strict form of ``_read_table_native`` is parsed natively; any other
+    is read here, so accepted tables, values and errors are this reader's.
     """
-    fast = _read_table_native(fh, header_line)
-    if fast is not None:
+    if (fast := _read_table_native(raw, header_line)) is not None:
         return fast
-    reader = csv.reader(fh)
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    reader = csv.reader(text)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataValidationError(f"{path}: line {header_line}: missing feature-name header") from None
-    names = [h.strip() for h in header]
-    rows, linenos = [], []
-    for lineno, row in enumerate(reader, start=header_line + 1):
-        if not row:
-            continue
-        if len(row) != len(names):
-            _check_finite_rows(path, names, rows, linenos)
-            raise DataValidationError(
-                f"{path}: line {lineno}: expected {len(names)} values, got {len(row)}"
-            )
-        try:
-            rows.append(list(map(float, row)))
-        except ValueError:
-            _check_finite_rows(path, names, rows, linenos)
-            raise DataValidationError(f"{path}: line {lineno}: non-numeric value") from None
-        linenos.append(lineno)
-    return tuple(names), _check_finite_rows(path, names, rows, linenos)
+        for _ in range(header_line - 1):
+            text.readline()
+        header = next(reader, None)
+        if header is None:
+            raise DataValidationError(f"{path}: line {header_line}: missing feature-name header")
+        names = [h.strip() for h in header]
+        rows = array("d")
+        for lineno, row in enumerate(reader, start=header_line + 1):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise DataValidationError(f"{path}: line {lineno}: expected {len(names)} values, got {len(row)}")
+            try:
+                values = list(map(float, row))
+            except ValueError:
+                raise DataValidationError(f"{path}: line {lineno}: non-numeric value") from None
+            for name, value in zip(names, values):
+                if not math.isfinite(value):
+                    raise DataValidationError(f"{path}: line {lineno}: non-finite value in column {name!r}")
+            rows.extend(values)
+    except UnicodeDecodeError as exc:
+        # the decoder's input is its held-back bytes plus the chunk just read
+        offset = text.buffer.tell() - len(exc.object) + exc.start
+        line = len(re.findall(rb"\r\n?|\n", raw[:offset])) + 1
+        raise DataValidationError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataValidationError(f"{path}: line {header_line - 1 + reader.line_num}: {exc}") from None
+    return tuple(names), np.frombuffer(rows).reshape(-1, len(names)) if rows else np.asarray([], dtype=np.float64)
 
 
-def _read_table_native(fh, header_line: int):
-    """The names and values of ``_read_table``, or None when the native parser declines the file.
+def _read_table_native(raw: bytes, header_line: int):
+    """The names and values of ``_read_table``, or None when the native parser declines ``raw``.
 
-    The file is read whole through the descriptor of ``fh``, whose position
-    does not move. The lines up to the header must be UTF-8 without a
-    byte-order mark, a quote, a NUL or a carriage return, and the header must
-    not be blank. The body must hold at least one row, and every row exactly
-    one ASCII decimal ``[+-]digits[.digits][(e|E)[+-]digits]`` per name,
-    separated by commas, each row ending in a newline (the last one may
-    not), and every value finite. No field may pass ``csv.field_size_limit``.
-    These are the same names and values the ``csv`` reader gives such a file.
+    The lines up to the header must be UTF-8 without a quote, a NUL or a
+    carriage return, and the header must not be blank. The body must hold at
+    least one row, and every row exactly one ASCII decimal
+    ``[+-]digits[.digits][(e|E)[+-]digits]`` per name, separated by commas,
+    each row ending in a newline (the last one may not), and every value
+    finite. No field may pass ``csv.field_size_limit``. These are the same
+    names and values the ``csv`` reader gives such a file.
     """
     parse = _native.parse_table()
     if parse is None:
         return None
-    try:
-        fd = fh.fileno()
-        size = os.fstat(fd).st_size
-        raw = os.pread(fd, size, 0)
-    except (OSError, ValueError):
-        return None
-    if len(raw) != size:
-        return None
     start = 0
     for _ in range(header_line):
-        end = raw.find(b"\n", start)
-        if end < 0:
+        start = raw.find(b"\n", start) + 1
+        if not start:
             return None
-        header, start = raw[start:end], end + 1
     head = raw[:start]
-    if not header or head.startswith(codecs.BOM_UTF8) or any(c in head for c in (b"\r", b'"', b"\0")):
-        return None
     try:
-        fields = header.decode("utf-8").split(",")
+        # every line up to the header is decoded, as the csv reader's text layer does
+        header = head.decode("utf-8").split("\n")[-2]
     except UnicodeDecodeError:
         return None
+    if not header or any(c in head for c in (b"\r", b'"', b"\0")):
+        return None
+    fields = header.split(",")
     # csv.reader raises on a field longer than its limit; such a table is left to it
     limit = csv.field_size_limit()
     rows = raw.count(b"\n", start) + (not raw.endswith(b"\n"))
@@ -222,18 +232,6 @@ def _read_table_native(fh, header_line: int):
     if parse(raw, start, len(raw), len(fields), rows, limit, values.ctypes.data) < 0:
         return None
     return tuple(h.strip() for h in fields), values
-
-
-def _check_finite_rows(path, names, rows, linenos) -> np.ndarray:
-    """Stack parsed rows, rejecting the first non-finite value in file order."""
-    values = np.asarray(rows, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        r, c = bad[0]
-        raise DataValidationError(
-            f"{path}: line {linenos[r]}: non-finite value in column {names[c]!r}"
-        )
-    return values
 
 
 _ROWS_PER_WRITE = 1024

@@ -28,10 +28,11 @@ later processes load it from there. Without a compiler or a writable cache,
 and for samples with ``N*M >= 2**50``, the numpy kernel ``_ks_merged_numpy``
 runs instead; both return the same bytes.
 
-Each input contract has one check here: ``_sample`` for a 1-D sample
-(1-D, non-empty, finite) and ``_angles`` for projection angles (in [0, pi),
-NaN rejected). ``_project_rows`` is the one projection; the pair statistic
-built from it, ``projected_ks`` and the matrix build live in ``matrix``.
+Each input contract has one check here: ``_sample`` for a sample (1-D, or
+2-D for the column-wise statistic; non-empty, numeric, finite) and
+``_angles`` for projection angles (in [0, pi), NaN rejected).
+``_project_rows`` is the one projection; the pair statistic built from it,
+``projected_ks`` and the matrix build live in ``matrix``.
 """
 
 from __future__ import annotations
@@ -43,16 +44,24 @@ from .data import _finite
 from .errors import DataValidationError
 
 
-def _sample(values) -> np.ndarray:
-    """``values`` as a float array, rejected unless 1-D, non-empty and finite."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DataValidationError(f"sample must be 1-D, got shape {arr.shape}")
+def _sample(values, ndim: int = 1) -> np.ndarray:
+    """``values`` as a float array, rejected unless ``ndim``-D, non-empty, numeric and finite."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting of lists
+        raise DataValidationError("sample must be a rectangular array of numbers") from None
+    # bools and integers widen to float; strings, objects and complex numbers are not coerced
+    if arr.dtype.kind not in "biuf":
+        raise DataValidationError(f"sample must be numeric, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
+    if arr.ndim != ndim:
+        raise DataValidationError(f"sample must be {ndim}-D, got shape {arr.shape}")
     if arr.size == 0:
         raise DataValidationError("empty sample")
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
-        raise DataValidationError(f"sample contains non-finite value at position {bad[0]}")
+        where = ", ".join(map(str, np.unravel_index(bad[0], arr.shape)))
+        raise DataValidationError(f"sample contains non-finite value at position {where}")
     return arr
 
 
@@ -152,9 +161,10 @@ def ks_empirical(p, q) -> float:
     return float(_ks_merged(pv[:, None], qv[:, None])[0])
 
 
-def ks_empirical_columns(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def ks_empirical_columns(p, q) -> np.ndarray:
     """Column-wise KS statistics of two matrices with matching column counts."""
-    if p.ndim != 2 or q.ndim != 2 or p.shape[1] != q.shape[1]:
+    p, q = _sample(p, 2), _sample(q, 2)
+    if p.shape[1] != q.shape[1]:
         raise DataValidationError("column-wise KS needs two 2-D arrays with equal column counts")
     return _ks_merged(p, q)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_names, _check_same_columns, _integer, _read_table, _write_table
+from .data import Dataset, _check_names, _check_same_columns, _integer, _read_bytes, _read_table, _write_table
 from .errors import DataValidationError
 from .ks import _angles, _ks_merged, _philox_angles, _project_rows, ks_empirical_columns
 
@@ -222,11 +222,12 @@ def save_matrix(m: EmpiricalKsMatrix, path) -> None:
 
 def load_matrix(path) -> EmpiricalKsMatrix:
     """Read a matrix file back; the round trip through ``save_matrix`` is exact."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        meta = _META_RE.match(fh.readline().rstrip("\r\n"))
-        if meta is None:
-            raise DataValidationError(f"{path}: line 1: expected '# ksdiff-matrix L=<L> seed=<seed> policy=<policy>'")
-        names, entries = _read_table(fh, path, 2)
+    raw = _read_bytes(path)
+    # line 1 ends at "\n", "\r" or "\r\n", as in the text mode that reads the table
+    meta = _META_RE.match(re.match(rb"[^\r\n]*", raw).group().decode("utf-8", "replace"))
+    if meta is None:
+        raise DataValidationError(f"{path}: line 1: expected '# ksdiff-matrix L=<L> seed=<seed> policy=<policy>'")
+    names, entries = _read_table(raw, path, 2)
     if len(entries) != len(names):
         raise DataValidationError(f"{path}: expected {len(names)} matrix rows, found {len(entries)}")
     try:

@@ -42,12 +42,12 @@ class SolverResult:
 
 
 def complement_objective(h, complement: Sequence[int]) -> float:
-    """Direct evaluation of f at a complement set."""
+    """Direct evaluation of f at a complement set of distinct feature indices."""
     w = as_weight_matrix(h)
-    idx = np.asarray(sorted(complement), dtype=np.intp)
-    if idx.size == 0:
-        return 0.0
-    return float(w[np.ix_(idx, idx)].sum())
+    idx = sorted(_integer("complement", i, 0, w.shape[0] - 1) for i in complement)
+    if len(set(idx)) != len(idx):
+        raise DataValidationError(f"complement repeats a feature index: {idx}")
+    return float(w[np.ix_(idx, idx)].sum()) if idx else 0.0
 
 
 def _peel(w: np.ndarray, rounds: int) -> tuple[list[int], list[float]]:
@@ -102,8 +102,7 @@ def greedy_score_objective(objective: Callable[[list[int]], float], d: int) -> n
     also serves non-quadratic objectives. Scores may be negative when the
     objective is not monotone.
     """
-    if d < 1:
-        raise DataValidationError("need at least one feature")
+    d = _integer("d", d, 1)
     complement = list(range(d))
     scores = np.zeros(d, dtype=np.float64)
     current = float(objective(complement))

@@ -3,6 +3,16 @@
 from itertools import combinations
 
 import numpy as np
+import pytest
+
+from ksdiff import _native
+
+
+@pytest.fixture
+def without_native(monkeypatch):
+    """The native library made unavailable, as without a compiler: numpy and ``csv`` run."""
+    monkeypatch.setattr(_native, "_tried", True)
+    monkeypatch.setattr(_native, "_lib", None)
 
 
 def ks_jump_oracle(p, q) -> float:

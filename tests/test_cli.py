@@ -65,6 +65,19 @@ class TestSelect:
         assert main(["select", "--p", str(bom), "--q", q_path, "--seed", "1", "--out", str(bom_out)]) == 0
         assert bom_out.read_bytes() == plain_out.read_bytes()
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"a,b\n1.0,2.0\xe9\n3.0,4.0\n", b"a,b\n" + b"1" * 200_000 + b",2.0\n3.0,4.0\n"],
+        ids=["not-utf8", "field-over-csv-limit"],
+    )
+    def test_unreadable_table_exit_2_naming_file_and_line(self, csv_pair, tmp_path, capsys, content):
+        _, q_path = csv_pair
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        assert main(["select", "--p", str(bad), "--q", q_path, "--seed", "1", "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 2: ") and "Traceback" not in err
+
     def test_non_finite_scores_exit_2_naming_method(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         paths = []
@@ -271,6 +284,17 @@ class TestCheckCommand:
         assert main(["check", "--matrix", str(path), "--s-star", "2", "--tol", tol]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "tol must be a finite number" in captured.err
+
+    def test_undecodable_matrix_exit_2_naming_file_and_line(self, tmp_path, capsys):
+        m = EmpiricalKsMatrix(np.diag([0.0, 0.0, 1.0]), ("a", "b", "c"), 10, 4, "per-pair")
+        path = tmp_path / "h.csv"
+        save_matrix(m, path)
+        lines = path.read_bytes().split(b"\n")
+        lines[3] += b"\xe9"
+        path.write_bytes(b"\n".join(lines))
+        assert main(["check", "--matrix", str(path), "--s-star", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: line 4: not UTF-8 text (invalid continuation byte)\n"
 
     def test_conflicting_k_exit_2(self, tmp_path):
         m = EmpiricalKsMatrix(np.diag([0.0, 0.0, 1.0]), ("a", "b", "c"), 10, 4, "per-pair")

@@ -64,8 +64,10 @@ class TestSampleChecks:
             ([1.0, np.inf, 2.0], "non-finite value at position 1"),
             ([1.0, -np.inf, 2.0], "non-finite value at position 1"),
             ([[1.0, 2.0]], "must be 1-D"),
+            (["1.0", "2.0"], "must be numeric"),
+            ([[1.0], [2.0, 3.0]], "rectangular array of numbers"),
         ],
-        ids=["empty", "nan", "inf", "-inf", "2-D"],
+        ids=["empty", "nan", "inf", "-inf", "2-D", "strings", "ragged"],
     )
     def test_rejected_by_edf_and_ks(self, bad, message):
         with pytest.raises(DataValidationError, match=message):
@@ -157,10 +159,43 @@ class TestKsEmpiricalColumns:
     @given(_mixed_column_pair())
     def test_every_column_matches_jump_oracle_exactly(self, pair):
         a, b = pair
-        values = ks_empirical_columns(a, b)
+        # the public function takes finite samples; the kernel also ranks the
+        # infinities that projections of finite values can become
+        values = _ks_merged(a, b)
+        if np.all(np.isfinite(a)) and np.all(np.isfinite(b)):
+            assert ks_empirical_columns(a, b).tobytes() == values.tobytes()
+        else:
+            with pytest.raises(DataValidationError, match="non-finite value at position"):
+                ks_empirical_columns(a, b)
         assert values.shape == (a.shape[1],)
         for col in range(a.shape[1]):
             assert values[col] == ks_jump_oracle(a[:, col], b[:, col])
+
+
+class TestKsEmpiricalColumnsChecks:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([[1.0, np.nan], [2.0, 3.0]], "non-finite value at position 0, 1"),
+            ([[1.0, 2.0], [-np.inf, 3.0]], "non-finite value at position 1, 0"),
+            (np.empty((0, 2)), "empty sample"),
+            ([["1.0", "2.0"]], "must be numeric"),
+            ([[1.0, 2.0], [3.0]], "rectangular array of numbers"),
+            ([1.0, 2.0], "must be 2-D"),
+            ([[1.0, 2.0, 3.0]], "equal column counts"),
+        ],
+        ids=["nan", "-inf", "empty", "strings", "ragged", "1-D", "column-count"],
+    )
+    def test_rejected_as_samples_are(self, bad, message):
+        good = np.array([[0.5, 1.5], [2.5, 3.5]])
+        with pytest.raises(DataValidationError, match=message):
+            ks_empirical_columns(bad, good)
+        with pytest.raises(DataValidationError, match=message):
+            ks_empirical_columns(good, bad)
+
+    def test_nested_lists_read_as_arrays(self):
+        a, b = [[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]], [[2.5, 1.0], [0.0, 9.0]]
+        assert ks_empirical_columns(a, b).tobytes() == ks_empirical_columns(np.array(a), np.array(b)).tobytes()
 
 
 def _columns(a, b):
@@ -275,7 +310,7 @@ class TestNativeLoader:
         blocker.write_text("")
         _fresh_loader(monkeypatch, blocker)
         a, b = _columns([1.0, 2.0, 2.0, np.inf], [2.0, 5.0])
-        assert ks_empirical_columns(a, b).tobytes() == _ks_merged_numpy(a, b).tobytes()
+        assert _ks_merged(a, b).tobytes() == _ks_merged_numpy(a, b).tobytes()
         assert _native.ks_scan() is None
         table = tmp_path / "p.csv"
         table.write_text("a,b\n1.5,-2e3\n0.1,7\n")

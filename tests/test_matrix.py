@@ -210,6 +210,28 @@ class TestFileRoundTrip:
             load_matrix(path)
         assert str(exc.value) == f"{path}: expected 2 matrix rows, found 1"
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "bare-cr"])
+    def test_carriage_return_line_ends_read_as_newlines(self, tmp_path, newline):
+        m = build_ks_matrix(*_random_pair(np.random.default_rng(6), d=3), 10, 7, angle_policy="shared")
+        path = tmp_path / "h.csv"
+        save_matrix(m, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        back = load_matrix(path)
+        assert back.entries.tobytes() == m.entries.tobytes()
+        assert (back.names, back.num_angles, back.master_seed, back.angle_policy) == (m.names, 10, 7, "shared")
+
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_bytes(b"# ksdiff-matrix L=10 seed=0 policy=per-pair\na,b\n0.0,0.5\n0.5,0.0\xe9\n")
+        with pytest.raises(DataValidationError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == f"{path}: line 4: not UTF-8 text (invalid continuation byte)"
+
+
+@pytest.mark.usefixtures("without_native")
+class TestFileRoundTripWithoutNative(TestFileRoundTrip):
+    """The same matrix files read by the ``csv`` reader alone."""
+
 
 _EDGE_ENTRIES = (-0.0, 5e-324, 0.0, 1.0)
 

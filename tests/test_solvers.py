@@ -137,6 +137,32 @@ class TestGreedyScore:
         assert np.allclose(greedy_score_objective(objective, 6), greedy_score(w).scores, atol=1e-12)
 
 
+class TestIndexChecks:
+    @pytest.mark.parametrize(
+        "complement, message",
+        [
+            ([-1], "complement must be an integer in \\[0, 3\\], got -1"),
+            ([7], "complement must be an integer in \\[0, 3\\], got 7"),
+            ([1.5], "complement must be an integer in \\[0, 3\\], got 1.5"),
+            ([True], "complement must be an integer"),
+            ([1, 1], "complement repeats a feature index"),
+        ],
+        ids=["negative", "too-large", "float", "bool", "duplicate"],
+    )
+    def test_complement_indices_rejected_not_coerced(self, complement, message):
+        with pytest.raises(DataValidationError, match=message):
+            complement_objective(np.full((4, 4), 0.5), complement)
+
+    def test_complement_of_numpy_indices_is_summed_once(self):
+        w = _random_weights(np.random.default_rng(8), 4)
+        assert complement_objective(w, np.array([2, 0])) == complement_objective(w, [0, 2]) == w[np.ix_([0, 2], [0, 2])].sum()
+
+    @pytest.mark.parametrize("d", [2.5, 0, True])
+    def test_objective_runner_feature_count_checked(self, d):
+        with pytest.raises(DataValidationError, match="d must be an integer >= 1"):
+            greedy_score_objective(lambda complement: 0.0, d)
+
+
 class TestExactMin:
     def test_zero_matrix_lexicographic_tie_break(self):
         result = exact_min(np.zeros((5, 5)), 2)
