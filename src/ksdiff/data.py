@@ -11,10 +11,14 @@ every table when the library cannot be built, is read with ``csv`` and
 ``float`` over a UTF-8 decode of the same bytes, which accept and reject the
 same files with the same values and messages, and name the line of a byte
 that is not UTF-8 or of a field past ``csv.field_size_limit``.
-Every integer parameter and feature index of the library passes through
-``_integer``, with the range [0, D-1] for an index when D is known, and
-every real parameter through ``_finite``; neither coerces. The feature names
-of a dataset and of a KS matrix both pass through ``_check_names``.
+Every array the library is given (a dataset, a sample, a weight matrix,
+scores, angles) passes through ``_array``: numeric, of the expected number
+of dimensions, non-empty and finite, with bools and integers widened to
+float64 and nothing else coerced. Every integer parameter and feature index
+passes through ``_integer``, with the range [0, D-1] for an index when D is
+known, and every real parameter through ``_finite``; neither coerces. The
+feature names of a dataset and of a KS matrix both pass through
+``_check_names``.
 """
 
 from __future__ import annotations
@@ -50,6 +54,27 @@ def _check_names(names, d: int) -> tuple[str, ...]:
     return names
 
 
+def _array(values, ndim: int, field: str) -> np.ndarray:
+    """``values`` as a float64 array, rejected unless ``ndim``-D, non-empty, numeric and finite."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting of lists
+        raise DataValidationError(f"{field} must be a rectangular array of numbers") from None
+    # bools and integers widen to float; strings, objects and complex numbers are not coerced
+    if arr.dtype.kind not in "biuf":
+        raise DataValidationError(f"{field} must be numeric, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
+    if arr.ndim != ndim:
+        raise DataValidationError(f"{field} must be {ndim}-D, got shape {arr.shape}")
+    if arr.size == 0:
+        raise DataValidationError(f"empty {field}")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        where = ", ".join(map(str, np.unravel_index(bad[0], arr.shape)))
+        raise DataValidationError(f"{field} contains non-finite value at position {where}")
+    return arr
+
+
 def _integer(field: str, value, low: int, high: int | None = None) -> int:
     # bool is an int subclass, and a float such as 1.5 must not be truncated
     integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -77,17 +102,8 @@ class Dataset:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DataValidationError(f"dataset must be 2-D, got shape {arr.shape}")
-        n, d = arr.shape
-        if n < 1 or d < 1:
-            raise DataValidationError(f"dataset needs at least one row and one column, got {n}x{d}")
-        bad = np.argwhere(~np.isfinite(arr))
-        if bad.size:
-            r, c = bad[0]
-            raise DataValidationError(f"non-finite value at row {r}, column {c}")
-        names = _check_names(self.names, d)
+        arr = _array(self.values, 2, "dataset")
+        names = _check_names(self.names, arr.shape[1])
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -115,22 +131,23 @@ def default_names(d: int) -> tuple[str, ...]:
 
 
 def dataset_from_array(values, names=None) -> Dataset:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DataValidationError(f"expected a 2-D array, got shape {arr.shape}")
-    if names is None:
-        names = default_names(arr.shape[1])
-    return Dataset(tuple(names), arr)
+    arr = _array(values, 2, "dataset")
+    return Dataset(default_names(arr.shape[1]) if names is None else tuple(names), arr)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def standardize(ds: Dataset) -> Dataset:
-    """Rescale every column to zero mean and unit variance."""
+    """Rescale every column to zero mean and unit variance.
+
+    A column whose variance is zero, or past the float range, has no finite
+    scale and is rejected by name.
+    """
     mean = ds.values.mean(axis=0)
     std = ds.values.std(axis=0)
-    flat = np.flatnonzero(std == 0.0)
+    flat = np.flatnonzero((std == 0.0) | ~np.isfinite(std))
     if flat.size:
         cols = ", ".join(ds.names[int(i)] for i in flat)
-        raise DataValidationError(f"cannot standardize constant column(s): {cols}")
+        raise DataValidationError(f"cannot standardize column(s) of zero or overflowing variance: {cols}")
     return Dataset(ds.names, (ds.values - mean) / std)
 
 
@@ -155,10 +172,9 @@ def _read_bytes(path) -> bytes:
 def _read_table(raw: bytes, path, header_line: int) -> tuple[tuple[str, ...], np.ndarray]:
     """Names and (R, D) values of a table whose name header is line ``header_line`` of ``raw``.
 
-    Blank lines are skipped; errors name the first defect in file order, but
-    a byte that is not UTF-8 is found a decoded chunk (8 KiB) ahead. A table
-    in the strict form of ``_read_table_native`` is parsed natively; any other
-    is read here, so accepted tables, values and errors are this reader's.
+    Blank lines are skipped; errors name the first defect in file order. A
+    table in the strict form of ``_read_table_native`` is parsed natively; any
+    other is read here, so accepted tables, values and errors are this reader's.
     """
     if (fast := _read_table_native(raw, header_line)) is not None:
         return fast
@@ -188,7 +204,12 @@ def _read_table(raw: bytes, path, header_line: int) -> tuple[tuple[str, ...], np
     except UnicodeDecodeError as exc:
         # the decoder's input is its held-back bytes plus the chunk just read
         offset = text.buffer.tell() - len(exc.object) + exc.start
-        line = len(re.findall(rb"\r\n?|\n", raw[:offset])) + 1
+        breaks = list(re.finditer(rb"\r\n?|\n", raw[:offset]))
+        line = len(breaks) + 1
+        if line > header_line:
+            # the decoder runs a chunk ahead of the parsed rows, so the rows above
+            # the bad line are read again: a defect among them comes first
+            _read_table(raw[: breaks[-1].end()], path, header_line)
         raise DataValidationError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise DataValidationError(f"{path}: line {header_line - 1 + reader.line_num}: {exc}") from None

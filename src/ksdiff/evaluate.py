@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import hara15_score, ide09_score, mt_score
-from .data import Dataset, _integer
+from .data import Dataset, _array, _integer
 from .errors import ConfigFieldError, DataValidationError
 from .matrix import build_ks_matrix
 from .solvers import greedy_score
@@ -30,11 +30,7 @@ def auroc(scores, truth) -> float:
 
     NaN or infinite scores are rejected, not ranked.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise DataValidationError(f"scores must be 1-D, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise DataValidationError("scores must be finite to be ranked")
+    s = _array(scores, 1, "scores")
     d = s.size
     changed = truth.changed if isinstance(truth, GroundTruth) else truth
     changed = frozenset(_integer("truth", i, 0, d - 1) for i in changed)

@@ -28,11 +28,10 @@ later processes load it from there. Without a compiler or a writable cache,
 and for samples with ``N*M >= 2**50``, the numpy kernel ``_ks_merged_numpy``
 runs instead; both return the same bytes.
 
-Each input contract has one check here: ``_sample`` for a sample (1-D, or
-2-D for the column-wise statistic; non-empty, numeric, finite) and
-``_angles`` for projection angles (in [0, pi), NaN rejected).
-``_project_rows`` is the one projection; the pair statistic built from it,
-``projected_ks`` and the matrix build live in ``matrix``.
+A sample passes the library's one array check, ``data._array`` (1-D, or
+2-D for the column-wise statistic); angles also pass ``_angles`` (in
+[0, pi)). ``_project_rows`` is the one projection; the pair statistic built
+from it, ``projected_ks`` and the matrix build live in ``matrix``.
 """
 
 from __future__ import annotations
@@ -40,34 +39,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import _native
-from .data import _finite
+from .data import _array, _finite
 from .errors import DataValidationError
-
-
-def _sample(values, ndim: int = 1) -> np.ndarray:
-    """``values`` as a float array, rejected unless ``ndim``-D, non-empty, numeric and finite."""
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # a ragged nesting of lists
-        raise DataValidationError("sample must be a rectangular array of numbers") from None
-    # bools and integers widen to float; strings, objects and complex numbers are not coerced
-    if arr.dtype.kind not in "biuf":
-        raise DataValidationError(f"sample must be numeric, got dtype {arr.dtype}")
-    arr = arr.astype(np.float64, copy=False)
-    if arr.ndim != ndim:
-        raise DataValidationError(f"sample must be {ndim}-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise DataValidationError("empty sample")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        where = ", ".join(map(str, np.unravel_index(bad[0], arr.shape)))
-        raise DataValidationError(f"sample contains non-finite value at position {where}")
-    return arr
 
 
 def edf_eval(sample, x: float) -> float:
     """Fraction of sample values <= x (right-continuous EDF)."""
-    s = np.sort(_sample(sample))
+    s = np.sort(_array(sample, 1, "sample"))
     x = _finite("x", x)
     return float(np.searchsorted(s, x, side="right")) / s.size
 
@@ -156,14 +134,14 @@ def ks_empirical(p, q) -> float:
     Equals ``max_x |EDF_p(x) - EDF_q(x)|``; the maximum is taken over the
     union of both samples' values, which attains the supremum.
     """
-    pv = _sample(p)
-    qv = _sample(q)
+    pv = _array(p, 1, "sample")
+    qv = _array(q, 1, "sample")
     return float(_ks_merged(pv[:, None], qv[:, None])[0])
 
 
 def ks_empirical_columns(p, q) -> np.ndarray:
     """Column-wise KS statistics of two matrices with matching column counts."""
-    p, q = _sample(p, 2), _sample(q, 2)
+    p, q = _array(p, 2, "sample"), _array(q, 2, "sample")
     if p.shape[1] != q.shape[1]:
         raise DataValidationError("column-wise KS needs two 2-D arrays with equal column counts")
     return _ks_merged(p, q)
@@ -278,12 +256,11 @@ def _philox_angles(seed: int, count: int, pairs: np.ndarray | None = None) -> np
     return table
 
 
-def _angles(values) -> np.ndarray:
-    """``values`` as a float array, rejected unless every angle lies in [0, pi).
+def _angles(arr: np.ndarray) -> np.ndarray:
+    """``arr``, a float array, rejected unless every angle lies in [0, pi).
 
     The test is written so that a NaN angle fails it.
     """
-    arr = np.asarray(values, dtype=np.float64)
     if arr.size and not (arr.min() >= 0.0 and arr.max() < np.pi):
         raise DataValidationError("angles must lie in [0, pi)")
     return arr

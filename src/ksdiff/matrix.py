@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_names, _check_same_columns, _integer, _read_bytes, _read_table, _write_table
+from .data import Dataset, _array, _check_names, _check_same_columns, _integer, _read_bytes, _read_table, _write_table
 from .errors import DataValidationError
 from .ks import _angles, _ks_merged, _philox_angles, _project_rows, ks_empirical_columns
 
@@ -54,8 +54,6 @@ class EmpiricalKsMatrix:
 
     def __post_init__(self):
         arr = as_weight_matrix(self.entries)
-        if arr.shape[0] < 1:
-            raise DataValidationError("matrix must have at least one feature")
         if np.any(arr > 1.0):
             raise DataValidationError("entry out of [0,1]")
         names = _check_names(self.names, arr.shape[0])
@@ -74,14 +72,12 @@ class EmpiricalKsMatrix:
 
 
 def as_weight_matrix(h) -> np.ndarray:
-    """Coerce a KS matrix or raw array into a validated symmetric nonnegative matrix."""
+    """A KS matrix's entries, or a raw array checked as a finite, square, symmetric, nonnegative matrix."""
     if isinstance(h, EmpiricalKsMatrix):
         return h.entries
-    arr = np.asarray(h, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    arr = _array(h, 2, "weight matrix")
+    if arr.shape[0] != arr.shape[1]:
         raise DataValidationError(f"weight matrix must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DataValidationError("weight matrix contains non-finite entries")
     if not np.array_equal(arr, arr.T):
         raise DataValidationError("weight matrix is not symmetric")
     if np.any(arr < 0.0):
@@ -142,10 +138,7 @@ def projected_ks(p: Dataset, q: Dataset, i: int, j: int, angles) -> float:
     of the expected projected KS distance when they are uniform draws.
     """
     i, j = _check_pair(p, q, i, j)
-    arr = np.asarray(angles, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise DataValidationError("angle set must hold at least one angle")
-    _angles(arr)
+    arr = _angles(_array(angles, 1, "angle set"))
     return float(_projected_ks_values(p.values.T, q.values.T, [i], [j], arr[None])[0])
 
 

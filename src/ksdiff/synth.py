@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, _finite, _integer, dataset_from_array, default_names
+from .data import Dataset, _array, _finite, _integer, dataset_from_array, default_names
 from .errors import DataValidationError
 
 FEATURE_COUNT = 20
@@ -199,7 +199,7 @@ class PerturbationSpec:
 
 def lower_quartile(values: np.ndarray) -> float:
     """Order-statistic 25% quantile: the ceil(N/4)-th smallest value."""
-    ranked = np.sort(np.asarray(values, dtype=np.float64))
+    ranked = np.sort(_array(values, 1, "sample"))
     return float(ranked[math.ceil(0.25 * ranked.size) - 1])
 
 

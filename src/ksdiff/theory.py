@@ -13,12 +13,13 @@ check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import _finite, _integer
-from .errors import DataValidationError
+from .errors import ConfigFieldError, DataValidationError
 from .solvers import DEFAULT_EXACT_LIMIT, as_weight_matrix, exact_min, optimality_margin
 
 OMITTED_TERM_NOTE = (
@@ -124,12 +125,19 @@ def sample_bound(k: int, margin: float, dim: int, epsilon: float) -> SampleBound
     if not 0 < (epsilon := _finite("epsilon", epsilon)) < 1:
         raise DataValidationError(f"epsilon must lie in (0, 1), got {epsilon}")
     k, dim = _integer("k", k, 1), _integer("dim", dim, 1)
-    lead = 8.0 * k**4 / margin**2
-    n_required = math.ceil(lead * math.log(12.0 * dim / epsilon))
-    if dim >= 2:
-        l_required = math.ceil(lead * math.log(3.0 * dim * (dim - 1) / epsilon))
-    else:
-        l_required = 1  # no feature pairs exist, any angle budget suffices
+    try:
+        lead = 8.0 * k**4 / margin**2
+        n_required = math.ceil(lead * math.log(12.0 * dim / epsilon))
+        if dim >= 2:
+            l_required = math.ceil(lead * math.log(3.0 * dim * (dim - 1) / epsilon))
+        else:
+            l_required = 1  # no feature pairs exist, any angle budget suffices
+    except (OverflowError, ZeroDivisionError):
+        # a bound past the float range: name the first of k, dim and epsilon
+        # whose own factor is past it, else the margin
+        big, spread = sys.float_info.max, max(12 * dim, 3 * dim * (dim - 1))
+        field = "k" if 8 * k**4 > big else "dim" if spread > big else "epsilon" if spread / epsilon > big else "margin"
+        raise ConfigFieldError(field, "takes the required sample size past the float range") from None
     return SampleBound(n_required, l_required, k, margin, dim, epsilon)
 
 

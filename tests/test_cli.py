@@ -264,6 +264,18 @@ class TestPerturbCommand:
         ])
         assert code == 2
 
+    def test_standardize_overflowing_variance_exit_2(self, tmp_path, capsys):
+        path, out = tmp_path / "p.csv", tmp_path / "out.csv"
+        save_dataset_csv(dataset_from_array(np.column_stack([np.linspace(1e300, 5e300, 20), np.arange(20.0)])), path)
+        code = main([
+            "perturb", "--input", str(path), "--kind", "mean_shift", "--c", "0.5",
+            "--targets", "1", "--standardize", "--out", str(out),
+        ])
+        assert code == 2
+        # the whole of stderr: no numpy warning precedes the message
+        assert capsys.readouterr().err == "error: cannot standardize column(s) of zero or overflowing variance: x1\n"
+        assert not out.exists()
+
 
 class TestCheckCommand:
     def test_margin_reported_for_diagonal_matrix(self, tmp_path, capsys):

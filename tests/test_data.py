@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ksdiff import (
     DataValidationError,
@@ -18,6 +19,7 @@ from ksdiff import (
     edf_eval,
     gen_example1,
     gen_example2,
+    greedy_score,
     load_dataset_csv,
     kl_lower_bound_check,
     load_matrix,
@@ -34,7 +36,7 @@ from ksdiff import (
 )
 from ksdiff import _native
 from ksdiff.cli import main
-from ksdiff.data import _read_bytes, _read_table_native
+from ksdiff.data import _array, _read_bytes, _read_table_native
 from ksdiff.errors import ConfigFieldError
 
 
@@ -42,7 +44,7 @@ class TestDataset:
     def test_rejects_non_finite_with_location(self):
         arr = np.ones((3, 2))
         arr[2, 1] = np.nan
-        with pytest.raises(DataValidationError, match="row 2, column 1"):
+        with pytest.raises(DataValidationError, match="position 2, 1"):
             dataset_from_array(arr)
 
     def test_rejects_duplicate_names(self):
@@ -116,6 +118,18 @@ class TestCsvRoundTrip:
         with_bom, without = load_dataset_csv(bom), load_dataset_csv(plain)
         assert with_bom.names == without.names == ("a", "b")
         assert with_bom.values.tobytes() == without.values.tobytes()
+
+    def test_undecodable_byte_after_an_earlier_defect(self, tmp_path):
+        # the decoder reads ahead of the parsed rows; the earlier defect still comes first
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,b\n1.0,oops\n1.0,2.0\xe9\n")
+        with pytest.raises(DataValidationError) as exc:
+            load_dataset_csv(path)
+        assert str(exc.value) == f"{path}: line 2: non-numeric value"
+        path.write_bytes(b"a,\xe9\n1.0,oops\n")
+        with pytest.raises(DataValidationError) as exc:
+            load_dataset_csv(path)
+        assert str(exc.value) == f"{path}: line 1: not UTF-8 text (invalid continuation byte)"
 
     def test_undecodable_byte_names_its_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -400,3 +414,59 @@ def test_indices_and_reals_rejected_not_coerced(function, args, field):
     with pytest.raises(ConfigFieldError, match=f"^{field} must be") as info:
         function(*args)
     assert info.value.field == field
+
+
+@pytest.mark.parametrize(
+    "call, field, ndim",
+    [
+        (dataset_from_array, "dataset", 2),
+        (lambda values: Dataset(("x1", "x2"), values), "dataset", 2),
+        (greedy_score, "weight matrix", 2),
+        (lambda values: auroc(values, [0]), "scores", 1),
+        (lambda values: projected_ks(_UNIT_DATASET, _UNIT_DATASET, 0, 1, values), "angle set", 1),
+    ],
+    ids=["dataset_from_array", "Dataset", "greedy_score", "auroc", "projected_ks"],
+)
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (["0.5", "0.25"], "{field} must be numeric, got dtype <U4"),
+        ([[0.5], [0.25, 0.5]], "{field} must be a rectangular array of numbers"),
+        ([0.5 + 1j, 0.25], "{field} must be numeric, got dtype complex128"),
+        ([0.25, np.nan], "{field} contains non-finite value at position {where}"),
+        ([], "empty {field}"),
+    ],
+    ids=["strings", "ragged", "complex", "nan", "empty"],
+)
+def test_arrays_rejected_not_coerced(call, field, ndim, row, message):
+    # a 2-D input is a table of that one row, or a 0 x 0 table for the empty case
+    values = row if ndim == 1 else [row] if row else np.empty((0, 0))
+    with pytest.raises(DataValidationError) as exc:
+        call(values)
+    assert str(exc.value) == message.format(field=field, where="1" if ndim == 1 else "0, 1")
+
+
+_NUMERIC_DTYPES = ["bool", "int8", "int64", "uint8", "uint64", "float16", "float32", "float64"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda ndim: st.tuples(
+            st.just(ndim),
+            hnp.arrays(
+                st.sampled_from(_NUMERIC_DTYPES).map(np.dtype),
+                hnp.array_shapes(min_dims=ndim, max_dims=ndim, min_side=1, max_side=6),
+                elements={"allow_nan": False, "allow_infinity": False},
+            ),
+        )
+    ),
+    st.booleans(),
+)
+def test_accepted_arrays_keep_their_exact_values(case, as_lists):
+    ndim, arr = case
+    values = arr.tolist() if as_lists else arr
+    checked = _array(values, ndim, "sample")
+    expected = np.asarray(values, dtype=np.float64)
+    assert checked.dtype == np.float64 and checked.shape == expected.shape
+    assert checked.tobytes() == expected.tobytes()

@@ -18,6 +18,7 @@ from ksdiff import (
     ks_empirical,
     ks_empirical_columns,
     load_dataset_csv,
+    lower_quartile,
     pair_angles,
     projected_ks,
     projected_ks_grid,
@@ -65,13 +66,16 @@ class TestSampleChecks:
             ([1.0, -np.inf, 2.0], "non-finite value at position 1"),
             ([[1.0, 2.0]], "must be 1-D"),
             (["1.0", "2.0"], "must be numeric"),
+            ([1.0 + 1j, 2.0], "must be numeric, got dtype complex128"),
             ([[1.0], [2.0, 3.0]], "rectangular array of numbers"),
         ],
-        ids=["empty", "nan", "inf", "-inf", "2-D", "strings", "ragged"],
+        ids=["empty", "nan", "inf", "-inf", "2-D", "strings", "complex", "ragged"],
     )
     def test_rejected_by_edf_and_ks(self, bad, message):
         with pytest.raises(DataValidationError, match=message):
             edf_eval(bad, 0.0)
+        with pytest.raises(DataValidationError, match=message):
+            lower_quartile(bad)
         with pytest.raises(DataValidationError, match=message):
             ks_empirical(bad, [1.0])
         with pytest.raises(DataValidationError, match=message):
@@ -380,13 +384,17 @@ class TestAngleSet:
     @pytest.mark.parametrize("angles", [[np.nan], [0.3, np.nan]], ids=["nan", "0.3,nan"])
     def test_nan_angle_rejected(self, angles):
         ds = dataset_from_array(np.random.default_rng(8).normal(size=(20, 2)))
-        with pytest.raises(DataValidationError, match=r"\[0, pi\)"):
+        with pytest.raises(DataValidationError, match="angle set contains non-finite value"):
             projected_ks(ds, ds, 0, 1, angles)
 
-    @pytest.mark.parametrize("angles", [[], [[0.1, 0.2]], 0.1], ids=["empty", "2-D", "scalar"])
-    def test_angle_list_must_be_non_empty_and_1d(self, angles):
+    @pytest.mark.parametrize(
+        "angles, message",
+        [([], "empty angle set"), ([[0.1, 0.2]], "angle set must be 1-D"), (0.1, "angle set must be 1-D")],
+        ids=["empty", "2-D", "scalar"],
+    )
+    def test_angle_list_must_be_non_empty_and_1d(self, angles, message):
         ds = dataset_from_array(np.random.default_rng(8).normal(size=(20, 2)))
-        with pytest.raises(DataValidationError, match="at least one angle"):
+        with pytest.raises(DataValidationError, match=message):
             projected_ks(ds, ds, 0, 1, angles)
 
     @settings(max_examples=200, deadline=None)

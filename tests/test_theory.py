@@ -14,6 +14,7 @@ from ksdiff import (
     recovery_trial,
     sample_bound,
 )
+from ksdiff.errors import ConfigFieldError
 
 from conftest import structured_instance
 
@@ -116,6 +117,15 @@ class TestSampleBound:
     def test_non_finite_margin_rejected(self, margin):
         with pytest.raises(DataValidationError, match="margin must be a finite number"):
             sample_bound(1, margin, 10, 0.05)
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [((1, 1e-200, 10, 0.1), "margin"), ((1, 1e-160, 10, 0.1), "margin"), ((10**80, 0.5, 10, 0.1), "k")],
+        ids=["margin-squared-underflows", "bound-overflows", "k-beyond-float"],
+    )
+    def test_bound_past_float_range_names_argument(self, args, field):
+        with pytest.raises(ConfigFieldError, match=f"^{field} takes the required sample size past the float range$"):
+            sample_bound(*args)
 
     def test_single_feature_needs_no_angles(self):
         assert sample_bound(1, 0.5, 1, 0.05).l_required == 1
