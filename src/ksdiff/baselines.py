@@ -37,7 +37,10 @@ def _mean_cov(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _heldout_loglik(train: np.ndarray, test: np.ndarray, kappa: float) -> float:
     mean, cov = _mean_cov(train)
     d = train.shape[1]
-    prec = np.linalg.inv(cov + kappa * np.eye(d))
+    try:
+        prec = np.linalg.inv(cov + kappa * np.eye(d))
+    except np.linalg.LinAlgError:  # a ridge too small to register against the covariance
+        return -np.inf
     sign, logdet = np.linalg.slogdet(prec)
     if sign <= 0:
         return -np.inf
@@ -69,7 +72,12 @@ def estimate_precision_cv(ds: Dataset) -> tuple[np.ndarray, float]:
         if ll > best_ll:
             best_ll, best_kappa = ll, float(kappa)
     _, cov = _mean_cov(x)
-    prec = _sym(np.linalg.inv(cov + best_kappa * np.eye(x.shape[1])))
+    try:
+        prec = _sym(np.linalg.inv(cov + best_kappa * np.eye(x.shape[1])))
+    except np.linalg.LinAlgError:
+        raise DataValidationError(
+            f"precision estimation failed: the covariance plus ridge {best_kappa!r} is singular (the ridge is lost to rounding)"
+        ) from None
     return prec, best_kappa
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import evaluate
 from .baselines import hara15_matrix, hara15_score, ide09_score, mt_score
-from .data import _check_same_columns, _finite, _integer, load_dataset_csv, save_dataset_csv, standardize
+from .data import _check_same_columns, _finite, _integer, _write_csv, _write_json, load_dataset_csv, save_dataset_csv, standardize
 from .errors import DataValidationError, KsdiffError, SolverLimitError
 from .matrix import ANGLE_POLICIES, build_ks_matrix, load_matrix, save_matrix
 from .solvers import exact_min, greedy_k, greedy_score
@@ -74,18 +74,6 @@ def _ranking(names, scores):
     ]
 
 
-def _write_report(report: dict, path, fmt: str) -> None:
-    if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("name,index,score,rank\n")
-            for row in report["ranking"]:
-                fh.write(f"{row['name']},{row['index']},{repr(row['score'])},{row['rank']}\n")
-
-
 def _cmd_select(args) -> int:
     if args.solver in ("greedy-k", "exact") and args.k is None:
         raise KsdiffError(f"solver {args.solver!r} requires --k")
@@ -130,7 +118,11 @@ def _cmd_select(args) -> int:
         report["over_threshold"] = [
             row["name"] for row in report["ranking"] if row["score"] > args.threshold
         ]
-    _write_report(report, args.out, args.format)
+    if args.format == "json":
+        _write_json(args.out, report)
+    else:
+        columns = ("name", "index", "score", "rank")
+        _write_csv(args.out, columns, ([row[c] for c in columns] for row in report["ranking"]))
     return 0
 
 
@@ -167,11 +159,10 @@ def _cmd_check(args) -> int:
         raise KsdiffError(
             f"--k {args.k} conflicts with the implied complement size {report.k} for the given set"
         )
-    payload = json.dumps(report.to_dict(), indent=2)
-    print(payload)
+    payload = report.to_dict()
+    print(json.dumps(payload, indent=2))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        _write_json(args.out, payload)
     return 0
 
 
@@ -190,6 +181,9 @@ def _cmd_experiment(args) -> int:
     missing = sorted(required - raw.keys())
     if missing:
         raise KsdiffError(f"experiment spec missing keys: {missing}")
+    unknown = sorted(raw.keys() - required - {"L", "jobs"})
+    if unknown:
+        raise KsdiffError(f"experiment spec has unknown keys: {unknown}")
     try:
         config = evaluate.ExperimentConfig(
             generator=raw["generator"],

@@ -1,4 +1,4 @@
-"""The dataset container, the table text format and the parameter checks.
+"""The dataset container, the table text format, the parameter checks and the report writers.
 
 A dataset is an N x D matrix of finite reals with named feature columns.
 Indices are 0-based throughout; column names are display labels only.
@@ -19,6 +19,12 @@ passes through ``_integer``, with the range [0, D-1] for an index when D is
 known, and every real parameter through ``_finite``; neither coerces. The
 feature names of a dataset and of a KS matrix both pass through
 ``_check_names``.
+Every report goes through one of two writers: ``_write_json`` (indent 2,
+then a newline) or ``_write_csv`` (standard CSV by ``csv.writer``, rows
+ended by a newline, a float as its ``repr``). Tables keep ``_write_table``,
+which is faster for a large block of floats. ``_fan_out`` is the one worker
+fan-out, for the matrix build's chunks and an experiment's cells: serial
+when ``jobs`` is 1, else a thread pool.
 """
 
 from __future__ import annotations
@@ -26,10 +32,12 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import json
 import math
 import re
 import sys
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -271,3 +279,27 @@ def _write_table(fh, names, values) -> None:
     for start in range(0, len(values), _ROWS_PER_WRITE):
         rows = values[start : start + _ROWS_PER_WRITE].tolist()
         fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+
+
+def _write_json(path, payload) -> None:
+    """Write ``payload`` as JSON indented by two spaces, then a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a report as standard CSV: the header, then one line per row; a float as its ``repr``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _fan_out(fn, items, jobs: int) -> list:
+    """``[fn(item) for item in items]``, on ``jobs`` threads unless ``jobs`` is 1 or there are under two items."""
+    if jobs == 1 or len(items) < 2:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        # reading every result re-raises an exception from any item
+        return list(pool.map(fn, items))

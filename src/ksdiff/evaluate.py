@@ -9,16 +9,13 @@ and reruns are reproducible regardless of execution order or parallelism.
 
 from __future__ import annotations
 
-import csv
-import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import hara15_score, ide09_score, mt_score
-from .data import Dataset, _array, _integer
+from .data import Dataset, _array, _fan_out, _integer, _write_csv, _write_json
 from .errors import ConfigFieldError, DataValidationError
 from .matrix import build_ks_matrix
 from .solvers import greedy_score
@@ -149,7 +146,8 @@ def run_experiment(config: ExperimentConfig, registry=None) -> list[ExperimentRe
     methods = registry if registry is not None else _method_registry(config.num_angles)
     generate = GENERATORS[config.generator]
 
-    def run_cell(n: int, rep: int) -> dict[str, ExperimentRecord]:
+    def run_cell(cell: tuple[int, int]) -> dict[str, ExperimentRecord]:
+        n, rep = cell
         seed = repetition_seed(config.master_seed, n, rep)
         p, q, truth = generate(n, seed)
         out = {}
@@ -165,11 +163,7 @@ def run_experiment(config: ExperimentConfig, registry=None) -> list[ExperimentRe
         return out
 
     cells = [(n, rep) for n in config.sample_sizes for rep in range(config.repetitions)]
-    if config.jobs == 1 or len(cells) < 2:
-        results = [run_cell(n, rep) for n, rep in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(lambda cell: run_cell(*cell), cells))
+    results = _fan_out(run_cell, cells, config.jobs)
 
     reports = []
     for name in config.methods:
@@ -183,23 +177,14 @@ def run_experiment(config: ExperimentConfig, registry=None) -> list[ExperimentRe
 
 def write_report_csv(reports: list[ExperimentReport], path) -> None:
     """Flat per-repetition table: method,N,rep_seed,auroc,runtime_sec."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("method,N,rep_seed,auroc,runtime_sec\n")
-        for report in reports:
-            for rec in report.records:
-                fh.write(
-                    f"{report.method},{rec.n},{rec.seed},{repr(rec.auroc)},{repr(rec.runtime_sec)}\n"
-                )
+    rows = ((r.method, rec.n, rec.seed, rec.auroc, rec.runtime_sec) for r in reports for rec in r.records)
+    _write_csv(path, ("method", "N", "rep_seed", "auroc", "runtime_sec"), rows)
 
 
 def write_errors_csv(reports: list[ExperimentReport], path) -> None:
     """One row per failed cell: method,N,rep_seed,error; only the header when none failed."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("method", "N", "rep_seed", "error"))
-        for report in reports:
-            failed = (rec for rec in report.records if rec.error is not None)
-            writer.writerows((report.method, rec.n, rec.seed, rec.error) for rec in failed)
+    rows = ((r.method, rec.n, rec.seed, rec.error) for r in reports for rec in r.records if rec.error is not None)
+    _write_csv(path, ("method", "N", "rep_seed", "error"), rows)
 
 
 def aggregate_dict(reports: list[ExperimentReport]) -> dict:
@@ -219,14 +204,9 @@ def aggregate_dict(reports: list[ExperimentReport]) -> dict:
 
 
 def write_aggregate_json(reports: list[ExperimentReport], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(aggregate_dict(reports), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, aggregate_dict(reports))
 
 
 def write_auroc_vs_n_csv(reports: list[ExperimentReport], path) -> None:
     """Plot-ready aggregate table: method,N,mean_auroc,std."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("method,N,mean_auroc,std\n")
-        for r in reports:
-            fh.write(f"{r.method},{r.n},{repr(r.mean_auroc)},{repr(r.std_auroc)}\n")
+    _write_csv(path, ("method", "N", "mean_auroc", "std"), ((r.method, r.n, r.mean_auroc, r.std_auroc) for r in reports))

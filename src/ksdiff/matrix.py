@@ -16,12 +16,11 @@ table, read and written by the same code as a dataset CSV.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _array, _check_names, _check_same_columns, _integer, _read_bytes, _read_table, _write_table
+from .data import Dataset, _array, _check_names, _check_same_columns, _fan_out, _integer, _read_bytes, _read_table, _write_table
 from .errors import DataValidationError
 from .ks import _angles, _ks_merged, _philox_angles, _project_rows, ks_empirical_columns
 
@@ -42,6 +41,15 @@ def _pairs_per_chunk(rows_pooled: int, num_angles: int) -> int:
 _META_RE = re.compile(r"^# ksdiff-matrix L=(\d+) seed=(\d+) policy=(\S+)$")
 
 
+def _angle_settings(num_angles, master_seed, policy) -> tuple[int, int]:
+    """Checked ``num_angles`` and ``master_seed``; ``policy`` must name one of ``ANGLE_POLICIES``."""
+    num_angles = _integer("num_angles", num_angles, 1)
+    master_seed = _integer("master_seed", master_seed, 0)
+    if policy not in ANGLE_POLICIES:
+        raise DataValidationError(f"unknown angle policy {policy!r}")
+    return num_angles, master_seed
+
+
 @dataclass(frozen=True)
 class EmpiricalKsMatrix:
     """Symmetric D x D matrix of KS statistics with the provenance that built it."""
@@ -57,10 +65,7 @@ class EmpiricalKsMatrix:
         if np.any(arr > 1.0):
             raise DataValidationError("entry out of [0,1]")
         names = _check_names(self.names, arr.shape[0])
-        _integer("num_angles", self.num_angles, 1)
-        _integer("master_seed", self.master_seed, 0)
-        if self.angle_policy not in ANGLE_POLICIES:
-            raise DataValidationError(f"unknown angle policy {self.angle_policy!r}")
+        _angle_settings(self.num_angles, self.master_seed, self.angle_policy)
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
@@ -91,10 +96,7 @@ def pair_angles(master_seed: int, num_angles: int, i: int, j: int, policy: str) 
     Under "per-pair" the pair is keyed as (min, max) and each index must fit
     one 32-bit spawn-key word; "shared" ignores the pair.
     """
-    num_angles = _integer("num_angles", num_angles, 1)
-    master_seed = _integer("master_seed", master_seed, 0)
-    if policy not in ANGLE_POLICIES:
-        raise DataValidationError(f"unknown angle policy {policy!r}")
+    num_angles, master_seed = _angle_settings(num_angles, master_seed, policy)
     pairs = None
     if policy == "per-pair":
         i, j = (_integer("pair indices", k, 0, 2**32 - 1) for k in (i, j))
@@ -167,11 +169,8 @@ def build_ks_matrix(
     The result is identical for any ``jobs`` value.
     """
     _check_same_columns(p, q)
-    num_angles = _integer("num_angles", num_angles, 1)
-    master_seed = _integer("master_seed", master_seed, 0)
+    num_angles, master_seed = _angle_settings(num_angles, master_seed, angle_policy)
     jobs = _integer("jobs", jobs, 1)
-    if angle_policy not in ANGLE_POLICIES:
-        raise DataValidationError(f"unknown angle policy {angle_policy!r}")
 
     d = p.num_features
     h = np.zeros((d, d), dtype=np.float64)
@@ -192,15 +191,7 @@ def build_ks_matrix(
         chunk = slice(start, start + step)
         values[chunk] = _projected_ks_values(pt, qt, pair_i[chunk], pair_j[chunk], angles[chunk])
 
-    starts = range(0, num_pairs, step)
-    if jobs == 1 or len(starts) < 2:
-        for start in starts:
-            eval_chunk(start)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            # reading every result re-raises an exception from any chunk
-            list(pool.map(eval_chunk, starts))
-
+    _fan_out(eval_chunk, range(0, num_pairs, step), jobs)
     h[pair_i, pair_j] = values
     h[pair_j, pair_i] = values
     return EmpiricalKsMatrix(h, p.names, num_angles, master_seed, angle_policy)

@@ -225,8 +225,12 @@ def perturb(ds: Dataset, spec: PerturbationSpec) -> Dataset:
                 mask = ref <= lower_quartile(ref)
                 out[mask, target] = mixed[mask]
             else:  # cov_change_no_var
-                var_before = float(np.var(col))
-                var_after = float(np.var(mixed))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    var_before, var_after = float(np.var(col)), float(np.var(mixed))
+                if not math.isfinite(var_before + var_after):
+                    raise DataValidationError(
+                        f"cannot preserve the variance of column {ds.names[target]}: it overflows before or after mixing"
+                    )
                 if var_after == 0.0:
                     if var_before != 0.0:
                         raise DataValidationError(

@@ -175,6 +175,8 @@ def recovery_trial(
     _integer("seed", seed, 0)
     if _finite("magnitude", magnitude) < 0:
         raise DataValidationError("magnitude must be nonnegative")
+    if magnitude > sys.float_info.max / 2:  # the noise range [-magnitude, magnitude] must have a finite width
+        raise ConfigFieldError("magnitude", f"must be at most half the float range, got {magnitude!r}")
     star = frozenset(_integer("s_star", i, 0, d - 1) for i in s_star)
     margin = optimality_margin(w, star, k, limit_d=limit_d)
     bound = margin / (2.0 * k * k)

@@ -47,6 +47,13 @@ class TestPrecisionCv:
         with pytest.raises(DataValidationError, match="3 rows"):
             estimate_precision_cv(dataset_from_array(np.zeros((2, 2))))
 
+    def test_ridge_lost_to_rounding_rejected(self):
+        # two equal columns at 1e150: cov + kappa*I is singular for every kappa on the grid
+        x = np.random.default_rng(8).normal(size=(60, 3))
+        x[:, 0] = x[:, 1] = x[:, 1] * 1e150
+        with pytest.raises(DataValidationError, match=r"^precision estimation failed: .* ridge 0\.0001 is singular"):
+            estimate_precision_cv(dataset_from_array(x))
+
 
 class TestMtScore:
     def test_matched_moments_score_zero(self):
@@ -67,6 +74,11 @@ class TestMtScore:
         c = np.eye(2)
         scores = _mt_scores_from(gamma, c)
         assert scores.min() < 0 or scores.max() > 0  # raw, unclamped trace misfits
+
+    def test_singular_submatrix_solved_with_a_small_ridge(self):
+        c = np.ones((2, 2))
+        # the pair block is singular, so its solve is retried with ridge 1e-10
+        assert np.allclose(_mt_scores_from(c, c), _mt_scores_from(c, c + 1e-10 * np.eye(2)), rtol=0, atol=1e-6)
 
     def test_mean_shift_detected(self):
         hits = 0

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -98,6 +99,25 @@ class TestSelect:
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["mt", "ide09"])
+    def test_ridge_lost_to_rounding_exit_2(self, tmp_path, capsys, method):
+        # two equal columns at 1e150: the ridge on the grid cannot make the covariance invertible
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(60, 5))
+        x[:, 0] = x[:, 1] = rng.normal(size=60) * 1e150
+        paths = [str(tmp_path / "p.csv"), str(tmp_path / "q.csv")]
+        save_dataset_csv(dataset_from_array(x), paths[0])
+        save_dataset_csv(dataset_from_array(x[::-1] * 1.5), paths[1])
+        out = tmp_path / "r.json"
+        args = ["select", "--p", paths[0], "--q", paths[1], "--method", method, "--seed", "1", "--out", str(out)]
+        assert main(args) == 2
+        # the whole of stderr: one error line, no traceback or numpy warning
+        assert capsys.readouterr().err == (
+            "error: precision estimation failed: the covariance plus ridge 0.0001 is singular"
+            " (the ridge is lost to rounding)\n"
+        )
+        assert not out.exists()
+
     def test_projection_overflow_is_silent(self, tmp_path, capsys):
         # finite values whose projected sums exceed the float range become
         # +-inf, which the KS kernel ranks exactly, so no warning reaches stderr
@@ -161,6 +181,26 @@ class TestSelect:
         ])
         assert code == 0
         assert out.read_text().splitlines()[0] == "name,index,score,rank"
+
+    def test_csv_report_is_standard_csv(self, tmp_path):
+        # a name may hold a quote; the CSV report quotes it, and reads back as the JSON report's
+        rng = np.random.default_rng(6)
+        names = ('say "hi"', "b", "c")
+        paths = [str(tmp_path / "p.csv"), str(tmp_path / "q.csv")]
+        for path in paths:
+            save_dataset_csv(dataset_from_array(rng.normal(size=(40, 3)), names), path)
+        reports = {}
+        for fmt in ("json", "csv"):
+            reports[fmt] = tmp_path / f"r.{fmt}"
+            argv = ["select", "--p", paths[0], "--q", paths[1], "--seed", "3", "--format", fmt, "--out", str(reports[fmt])]
+            assert main(argv) == 0
+        assert '"say ""hi"""' in reports["csv"].read_text()
+        with open(reports["csv"], newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        ranking = json.loads(reports["json"].read_text())["ranking"]
+        assert rows == [["name", "index", "score", "rank"]] + [
+            [row["name"], str(row["index"]), repr(row["score"]), str(row["rank"])] for row in ranking
+        ]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_threshold_exit_2(self, csv_pair, tmp_path, capsys, value):
@@ -277,6 +317,31 @@ class TestPerturbCommand:
         assert not out.exists()
 
 
+    def test_no_var_mix_of_overflowing_column_exit_2(self, tmp_path, capsys):
+        path, out = tmp_path / "p.csv", tmp_path / "out.csv"
+        columns = [np.linspace(1e300, 5e300, 20), np.linspace(-3e300, 2e300, 20)]
+        save_dataset_csv(dataset_from_array(np.column_stack(columns)), path)
+        code = main([
+            "perturb", "--input", str(path), "--kind", "cov_change_no_var", "--c", "0.5",
+            "--targets", "0", "--refs", "1", "--out", str(out),
+        ])
+        assert code == 2
+        # the whole of stderr: no numpy overflow warning precedes the message
+        assert capsys.readouterr().err == (
+            "error: cannot preserve the variance of column x1: it overflows before or after mixing\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, value", [("--targets", "0,x"), ("--refs", "1.5")])
+    def test_non_integer_index_exit_2(self, csv_pair, tmp_path, capsys, option, value):
+        p_path, _ = csv_pair
+        argv = ["perturb", "--input", p_path, "--kind", "cov_change", "--c", "0.5", "--targets", "0", "--refs", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, value, "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert f"argument {option}: expected comma-separated integers, got {value!r}" in capsys.readouterr().err
+
+
 class TestCheckCommand:
     def test_margin_reported_for_diagonal_matrix(self, tmp_path, capsys):
         m = EmpiricalKsMatrix(np.diag([0.0, 0.0, 1.0]), ("a", "b", "c"), 10, 4, "per-pair")
@@ -381,6 +446,23 @@ class TestExperimentCommand:
         missing = tmp_path / "missing.json"
         missing.write_text(json.dumps({"generator": "example2"}))
         assert main(["experiment", "--spec", str(missing), "--out-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"spec"', "null", "3"])
+    def test_spec_not_an_object_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert main(["experiment", "--spec", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: experiment spec must be a JSON object\n"
+
+    def test_unknown_spec_keys_exit_2(self, tmp_path, capsys):
+        # a misspelt "L" must not run silently with the default L = 10
+        spec = self._spec(tmp_path, l=3, num_angles=7, reps=9)
+        assert main(["experiment", "--spec", spec, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: experiment spec has unknown keys: ['l', 'num_angles', 'reps']\n"
+        assert not (tmp_path / "o").exists()
+        # the optional keys are L and jobs
+        spec = self._spec(tmp_path, L=2, jobs=2)
+        assert main(["experiment", "--spec", spec, "--out-dir", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize(
         "key, value",

@@ -1,5 +1,6 @@
 import codecs
 import csv
+import threading
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from ksdiff import (
 )
 from ksdiff import _native
 from ksdiff.cli import main
-from ksdiff.data import _array, _read_bytes, _read_table_native
+from ksdiff.data import _array, _fan_out, _read_bytes, _read_table_native, _write_csv, _write_json
 from ksdiff.errors import ConfigFieldError
 
 
@@ -345,6 +346,28 @@ def test_standardize_rejects_constant_column():
     ds = dataset_from_array(np.column_stack([np.ones(5), np.arange(5.0)]))
     with pytest.raises(DataValidationError, match="x1"):
         standardize(ds)
+
+
+def test_report_writers_write_standard_csv_and_indented_json(tmp_path):
+    path = tmp_path / "r.csv"
+    _write_csv(path, ("name", "value"), [('say "hi"', 0.1), ("b", 1e-300), ("c", float("nan")), ("d", 7)])
+    assert path.read_bytes() == b'name,value\n"say ""hi""",0.1\nb,1e-300\nc,nan\nd,7\n'
+    with open(path, newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)] == ["name", 'say "hi"', "b", "c", "d"]
+    path = tmp_path / "r.json"
+    _write_json(path, {"x": [1, 0.1], "y": None})
+    assert path.read_bytes() == b'{\n  "x": [\n    1,\n    0.1\n  ],\n  "y": null\n}\n'
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_fan_out_keeps_item_order(jobs):
+    caller = threading.get_ident()
+    results = _fan_out(lambda x: (x * x, threading.get_ident()), range(7), jobs)
+    assert [value for value, _ in results] == [x * x for x in range(7)]
+    # one job runs in the calling thread: no pool, no worker threads
+    assert (jobs == 1) == all(thread == caller for _, thread in results)
+    with pytest.raises(ZeroDivisionError):
+        _fan_out(lambda x: 1 / x, [1, 0, 2], jobs)
 
 
 _UNIT_DATASET = dataset_from_array(np.random.default_rng(2).normal(size=(30, 3)))

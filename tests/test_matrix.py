@@ -125,6 +125,28 @@ class TestBuild:
         with pytest.raises(DataValidationError, match=f"{field} must be an integer"):
             build_ks_matrix(p, q, **args)
 
+    @pytest.mark.parametrize(
+        "num_angles, master_seed, policy, message",
+        [
+            (0, 1, "per-pair", "^num_angles must be an integer >= 1, got 0 \\(out of range\\)$"),
+            (1, -1, "shared", "^master_seed must be an integer >= 0, got -1 \\(out of range\\)$"),
+            (1, 1, "zigzag", "^unknown angle policy 'zigzag'$"),
+            (0, -1, "zigzag", "^num_angles must be"),
+            (1, -1, "zigzag", "^master_seed must be"),
+        ],
+        ids=["num_angles", "master_seed", "policy", "num_angles-first", "master_seed-before-policy"],
+    )
+    def test_angle_settings_checked_alike_everywhere(self, num_angles, master_seed, policy, message):
+        p, q = _random_pair(np.random.default_rng(3), d=2)
+        calls = (
+            lambda: build_ks_matrix(p, q, num_angles, master_seed, angle_policy=policy),
+            lambda: pair_angles(master_seed, num_angles, 0, 1, policy),
+            lambda: EmpiricalKsMatrix(np.zeros((1, 1)), ("a",), num_angles, master_seed, policy),
+        )
+        for call in calls:
+            with pytest.raises(DataValidationError, match=message):
+                call()
+
 
 class TestFileRoundTrip:
     def test_round_trip_is_exact(self, tmp_path):

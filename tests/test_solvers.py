@@ -92,6 +92,11 @@ class TestGreedyK:
         with pytest.raises(DataValidationError, match="negative"):
             greedy_k(np.array([[0.0, -1.0], [-1.0, 0.0]]), 1)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 1)])
+    def test_non_square_matrix_rejected(self, shape):
+        with pytest.raises(DataValidationError, match=rf"weight matrix must be square, got shape \({shape[0]}, {shape[1]}\)"):
+            greedy_k(np.zeros(shape), 1)
+
 
 class TestGreedyScore:
     def test_zero_matrix_gives_zero_scores(self):
@@ -196,6 +201,11 @@ class TestExactMin:
         with pytest.raises(SolverLimitError, match="size limit"):
             exact_min(np.zeros((26, 26)), 3)
         exact_min(np.zeros((26, 26)), 3, limit_d=26)
+
+    def test_margin_size_limit(self):
+        with pytest.raises(SolverLimitError, match="^margin enumeration size limit: D=26 exceeds 25$"):
+            optimality_margin(np.zeros((26, 26)), range(23), 3)
+        assert optimality_margin(np.zeros((26, 26)), range(23), 3, limit_d=26) == 0.0
 
 
 class TestOptimalityMargin:

@@ -106,6 +106,15 @@ class TestPerturbationSpec:
         with pytest.raises(DataValidationError, match="seed"):
             PerturbationSpec("variance_change", 0.5, (0,))
 
+    @pytest.mark.parametrize(
+        "targets, message",
+        [((), "at least one target feature"), ((1, 0, 1), "target features must be distinct")],
+        ids=["empty", "duplicate"],
+    )
+    def test_empty_or_repeated_targets_rejected(self, targets, message):
+        with pytest.raises(DataValidationError, match=message):
+            PerturbationSpec("mean_shift", 0.5, targets)
+
 
 class TestPerturb:
     @pytest.fixture
@@ -149,6 +158,24 @@ class TestPerturb:
             after = np.var(out.values[:, 0])
             assert abs(after - before) / before < 1e-10
             assert not np.array_equal(out.values[:, 0], ds.values[:, 0])
+
+    @pytest.mark.parametrize(
+        "target, ref, message",
+        [
+            (np.arange(20.0), np.ones(20), "mixing collapsed column 0 to a constant"),
+            (
+                np.linspace(1e300, 5e300, 20),
+                np.linspace(-3e300, 2e300, 20),
+                "^cannot preserve the variance of column x1: it overflows before or after mixing$",
+            ),
+        ],
+        ids=["collapse", "overflow"],
+    )
+    def test_variance_preserving_mix_rejects_unpreservable_column(self, target, ref, message):
+        # numpy's overflow warning is an error under the test settings, so none is raised here
+        ds = dataset_from_array(np.column_stack([target, ref]))
+        with pytest.raises(DataValidationError, match=message):
+            perturb(ds, PerturbationSpec("cov_change_no_var", 1.0, (0,), {0: 1}))
 
     def test_noise_kind_reproducible(self, ds):
         spec = PerturbationSpec("variance_change", 0.4, (2,), seed=77)

@@ -72,6 +72,21 @@ class TestCheckConditions:
         with pytest.raises(DataValidationError):
             check_conditions(np.zeros((3, 3)), [5])
 
+    @pytest.mark.parametrize(
+        "s_star, tol, message",
+        [([2], -1e-9, "tolerance must be nonnegative"), ([], 1e-9, "must name at least one feature")],
+        ids=["negative-tol", "empty-set"],
+    )
+    def test_negative_tolerance_or_empty_set_rejected(self, s_star, tol, message):
+        with pytest.raises(DataValidationError, match=message):
+            check_conditions(np.diag([0.0, 0.0, 1.0]), s_star, tol=tol)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_margin_is_zero_when_every_feature_is_claimed(self, d):
+        # k = 0: the empty complement is the only one, so nothing competes
+        report = check_conditions(np.eye(d), range(d))
+        assert (report.k, report.margin) == (0, 0.0)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 10**400, "1e-9"])
     def test_non_finite_tolerance_rejected(self, tol):
         with pytest.raises(DataValidationError, match="tol must be a finite number"):
@@ -127,6 +142,11 @@ class TestSampleBound:
         with pytest.raises(ConfigFieldError, match=f"^{field} takes the required sample size past the float range$"):
             sample_bound(*args)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, 2.0])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        with pytest.raises(DataValidationError, match=r"epsilon must lie in \(0, 1\)"):
+            sample_bound(1, 0.5, 10, epsilon)
+
     def test_single_feature_needs_no_angles(self):
         assert sample_bound(1, 0.5, 1, 0.05).l_required == 1
 
@@ -164,6 +184,19 @@ class TestRecoveryTrial:
     def test_non_finite_magnitude_rejected(self, magnitude):
         with pytest.raises(DataValidationError, match="magnitude must be a finite number"):
             recovery_trial(np.diag([0.0, 0.0, 1.0]), [2], 2, magnitude=magnitude, trials=2, seed=1)
+
+    @pytest.mark.parametrize(
+        "magnitude, error, message",
+        [
+            (-0.1, DataValidationError, "^magnitude must be nonnegative$"),
+            (1e308, ConfigFieldError, r"^magnitude must be at most half the float range, got 1e\+308$"),
+        ],
+        ids=["negative", "past-half-float-range"],
+    )
+    def test_out_of_range_magnitude_rejected(self, magnitude, error, message):
+        # a noise range [-magnitude, magnitude] wider than the float range cannot be drawn
+        with pytest.raises(error, match=message):
+            recovery_trial(np.diag([1.0, 0.0, 0.0, 0.0]), [0], 3, magnitude=magnitude, trials=2, seed=0)
 
     @pytest.mark.parametrize("seed", [1.5, -1])
     def test_non_integer_or_negative_seed_rejected(self, seed):
