@@ -5,7 +5,11 @@ All three model both samples as Gaussians. Precision matrices are ridge
 estimates (cov + kappa*I)^-1 with kappa picked from a fixed 11-point
 log-spaced grid in [1e-4, 10] by three-fold cross validation on held-out
 Gaussian log-likelihood. Everything is deterministic given the data: the
-folds are three contiguous blocks of rows, in row order. The scorers compute
+folds are three contiguous blocks of rows, in row order. Each fold inverts
+its whole ridge grid in one stacked call, and MT solves each greedy round's
+candidate blocks in one stacked call; when a stacked call meets a singular
+matrix, that fold or round is redone item by item (a singular ridge scores
+-inf, a singular block is retried with a tiny ridge). The scorers compute
 with numpy's overflow and invalid-value warnings off: data whose second
 moments overflow gives non-finite scores, which callers reject by method
 name, and non-finite weights, which ``hara15_matrix`` rejects.
@@ -17,7 +21,7 @@ import numpy as np
 
 from .data import Dataset, _check_same_columns
 from .errors import DataValidationError, KsdiffError
-from .solvers import greedy_score, greedy_score_objective
+from .solvers import _greedy_trace, greedy_score
 
 KAPPA_GRID = np.logspace(-4.0, 1.0, 11)
 
@@ -34,19 +38,40 @@ def _mean_cov(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, _sym(centered.T @ centered / x.shape[0])
 
 
-def _heldout_loglik(train: np.ndarray, test: np.ndarray, kappa: float) -> float:
+def _ridge_logliks(centered: np.ndarray, ridged: np.ndarray) -> list[float]:
+    """Mean Gaussian log-likelihood of the centred test rows under each precision ``inv(ridged[k])``.
+
+    One stacked inverse and one stacked log-determinant serve the whole
+    stack; a singular item makes the stacked inverse raise.
+    """
+    d = ridged.shape[-1]
+    precs = np.linalg.inv(ridged)
+    signs, logdets = np.linalg.slogdet(precs)
+    out = []
+    for prec, sign, logdet in zip(precs, signs, logdets):
+        if sign <= 0:
+            out.append(-np.inf)
+            continue
+        quad = np.einsum("ij,jk,ik->i", centered, prec, centered)
+        out.append(float(np.mean(0.5 * (logdet - d * _LOG_2PI - quad))))
+    return out
+
+
+def _heldout_logliks(train: np.ndarray, test: np.ndarray) -> list[float]:
+    """Held-out log-likelihood of ``test`` under ``train``'s ridge fit, one value per kappa on the grid."""
     mean, cov = _mean_cov(train)
-    d = train.shape[1]
-    try:
-        prec = np.linalg.inv(cov + kappa * np.eye(d))
-    except np.linalg.LinAlgError:  # a ridge too small to register against the covariance
-        return -np.inf
-    sign, logdet = np.linalg.slogdet(prec)
-    if sign <= 0:
-        return -np.inf
     centered = test - mean
-    quad = np.einsum("ij,jk,ik->i", centered, prec, centered)
-    return float(np.mean(0.5 * (logdet - d * _LOG_2PI - quad)))
+    ridged = cov + KAPPA_GRID[:, None, None] * np.eye(train.shape[1])
+    try:
+        return _ridge_logliks(centered, ridged)
+    except np.linalg.LinAlgError:  # some ridge too small to register against the covariance: item by item
+        out = []
+        for item in ridged:
+            try:
+                out += _ridge_logliks(centered, item[None])
+            except np.linalg.LinAlgError:
+                out.append(-np.inf)
+        return out
 
 
 def estimate_precision_cv(ds: Dataset) -> tuple[np.ndarray, float]:
@@ -61,13 +86,15 @@ def estimate_precision_cv(ds: Dataset) -> tuple[np.ndarray, float]:
     if n < 3:
         raise DataValidationError(f"precision estimation needs at least 3 rows, got {n}")
     folds = np.array_split(np.arange(n), 3)
+    fold_lls = [
+        _heldout_logliks(x[np.concatenate([folds[g] for g in range(3) if g != f])], x[folds[f]])
+        for f in range(3)
+    ]
     best_ll, best_kappa = -np.inf, float(KAPPA_GRID[0])
-    for kappa in KAPPA_GRID:
+    for k, kappa in enumerate(KAPPA_GRID):
         ll = 0.0
-        for f in range(3):
-            test_idx = folds[f]
-            train_idx = np.concatenate([folds[g] for g in range(3) if g != f])
-            ll += _heldout_loglik(x[train_idx], x[test_idx], float(kappa))
+        for lls in fold_lls:
+            ll += lls[k]
         ll /= 3.0
         if ll > best_ll:
             best_ll, best_kappa = ll, float(kappa)
@@ -98,18 +125,24 @@ def _mt_scores_from(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
     Objective of a complement C is ``| |C| - tr(Gamma_C @ inv(C_C)) |``; it
     vanishes when the second-moment matrix of the test data matches the
     reference model on the complement. Not monotone, so scores can be
-    negative; callers rank on the raw values.
+    negative; callers rank on the raw values. Each greedy round gathers its
+    candidates' blocks with one fancy index and solves them in one stacked
+    call; if a block is singular, the round is solved block by block.
     """
-    d = gamma.shape[0]
 
-    def objective(complement: list[int]) -> float:
-        if not complement:
-            return 0.0
-        idx = np.asarray(complement, dtype=np.intp)
-        solved = _solve_submatrix(c[np.ix_(idx, idx)], gamma[np.ix_(idx, idx)], complement)
-        return abs(float(len(complement)) - float(np.trace(solved)))
+    def round_values(complements: np.ndarray) -> np.ndarray:
+        size = complements.shape[1]
+        if size == 0:
+            return np.zeros(complements.shape[0])
+        rows, cols = complements[:, :, None], complements[:, None, :]
+        c_sub, g_sub = c[rows, cols], gamma[rows, cols]
+        try:
+            solved = np.linalg.solve(c_sub, g_sub)
+        except np.linalg.LinAlgError:
+            solved = np.stack([_solve_submatrix(cb, gb, comp) for cb, gb, comp in zip(c_sub, g_sub, complements.tolist())])
+        return np.abs(float(size) - np.trace(solved, axis1=1, axis2=2))
 
-    return greedy_score_objective(objective, d)
+    return _greedy_trace(round_values, gamma.shape[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")

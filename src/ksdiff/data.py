@@ -20,11 +20,11 @@ known, and every real parameter through ``_finite``; neither coerces. The
 feature names of a dataset and of a KS matrix both pass through
 ``_check_names``.
 Every report goes through one of two writers: ``_write_json`` (indent 2,
-then a newline) or ``_write_csv`` (standard CSV by ``csv.writer``, rows
-ended by a newline, a float as its ``repr``). Tables keep ``_write_table``,
-which is faster for a large block of floats. ``_fan_out`` is the one worker
-fan-out, for the matrix build's chunks and an experiment's cells: serial
-when ``jobs`` is 1, else a thread pool.
+then a newline; it refuses a NaN or infinity) or ``_write_csv`` (standard
+CSV by ``csv.writer``, rows ended by a newline, a float as its ``repr``).
+Tables keep ``_write_table``, which is faster for a large block of floats.
+``_fan_out`` is the one worker fan-out, for the matrix build's chunks and an
+experiment's cells: serial when ``jobs`` is 1, else a thread pool.
 """
 
 from __future__ import annotations
@@ -282,10 +282,10 @@ def _write_table(fh, names, values) -> None:
 
 
 def _write_json(path, payload) -> None:
-    """Write ``payload`` as JSON indented by two spaces, then a newline."""
+    """Write ``payload`` as JSON indented by two spaces, then a newline; a NaN or infinity raises ValueError."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path, header, rows) -> None:

@@ -187,6 +187,11 @@ def write_errors_csv(reports: list[ExperimentReport], path) -> None:
     _write_csv(path, ("method", "N", "rep_seed", "error"), rows)
 
 
+def _mean_or_none(report: ExperimentReport) -> float | None:
+    """The cell's mean AUROC, or None when every repetition failed: JSON has no NaN."""
+    return report.mean_auroc if report.successful else None
+
+
 def aggregate_dict(reports: list[ExperimentReport]) -> dict:
     return {
         "cells": [
@@ -195,7 +200,7 @@ def aggregate_dict(reports: list[ExperimentReport]) -> dict:
                 "N": r.n,
                 "repetitions": len(r.records),
                 "failures": len(r.records) - len(r.successful),
-                "mean_auroc": r.mean_auroc,
+                "mean_auroc": _mean_or_none(r),
                 "std_auroc": r.std_auroc,
             }
             for r in reports
@@ -208,5 +213,5 @@ def write_aggregate_json(reports: list[ExperimentReport], path) -> None:
 
 
 def write_auroc_vs_n_csv(reports: list[ExperimentReport], path) -> None:
-    """Plot-ready aggregate table: method,N,mean_auroc,std."""
-    _write_csv(path, ("method", "N", "mean_auroc", "std"), ((r.method, r.n, r.mean_auroc, r.std_auroc) for r in reports))
+    """Plot-ready aggregate table: method,N,mean_auroc,std; mean_auroc is empty when every repetition failed."""
+    _write_csv(path, ("method", "N", "mean_auroc", "std"), ((r.method, r.n, _mean_or_none(r), r.std_auroc) for r in reports))

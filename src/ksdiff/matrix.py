@@ -77,7 +77,7 @@ class EmpiricalKsMatrix:
 
 
 def as_weight_matrix(h) -> np.ndarray:
-    """A KS matrix's entries, or a raw array checked as a finite, square, symmetric, nonnegative matrix."""
+    """A KS matrix's entries, or a raw array checked as a finite, square, symmetric, nonnegative matrix with a finite doubled sum."""
     if isinstance(h, EmpiricalKsMatrix):
         return h.entries
     arr = _array(h, 2, "weight matrix")
@@ -87,6 +87,10 @@ def as_weight_matrix(h) -> np.ndarray:
         raise DataValidationError("weight matrix is not symmetric")
     if np.any(arr < 0.0):
         raise DataValidationError("weight matrix has negative entries")
+    # the solvers form w.sum() and 2.0 * row sums; no partial sum exceeds the total
+    with np.errstate(over="ignore"):
+        if not np.isfinite(2.0 * arr.sum()):
+            raise DataValidationError("weight matrix is too large: twice its sum overflows the float range")
     return arr
 
 

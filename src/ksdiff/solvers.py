@@ -94,6 +94,30 @@ def greedy_score(h) -> SolverResult:
     return SolverResult(selected=tuple(order), objective=0.0, method="greedy-score", scores=scores)
 
 
+def _greedy_trace(values_of: Callable[[np.ndarray], Sequence[float]], d: int) -> np.ndarray:
+    """The greedy scoring loop over complements, one batch of candidates per round.
+
+    ``values_of`` maps an (r, s) array of sorted complements, one per row, to
+    their r objective values. Each round passes the complements that leave
+    out one current member each, drops the member whose complement has the
+    least value (ties to the earliest), and scores it by the objective's drop
+    divided by the complement size at that round.
+    """
+    complement = np.arange(d)
+    scores = np.zeros(d, dtype=np.float64)
+    current = float(values_of(complement[None, :])[0])
+    for i in range(1, d + 1):
+        size = complement.size
+        # row j of the candidates leaves out member j
+        candidates = np.broadcast_to(complement, (size, size))[~np.eye(size, dtype=bool)].reshape(size, size - 1)
+        values = [float(v) for v in values_of(candidates)]
+        pos = int(np.argmin(values))
+        scores[complement[pos]] = (current - values[pos]) / (d - i + 1)
+        current = values[pos]
+        complement = np.delete(complement, pos)
+    return scores
+
+
 def greedy_score_objective(objective: Callable[[list[int]], float], d: int) -> np.ndarray:
     """Greedy scoring trace for an arbitrary objective over complements.
 
@@ -103,17 +127,7 @@ def greedy_score_objective(objective: Callable[[list[int]], float], d: int) -> n
     objective is not monotone.
     """
     d = _integer("d", d, 1)
-    complement = list(range(d))
-    scores = np.zeros(d, dtype=np.float64)
-    current = float(objective(complement))
-    for i in range(1, d + 1):
-        values = [float(objective([c for c in complement if c != cand])) for cand in complement]
-        pos = int(np.argmin(values))
-        chosen = complement[pos]
-        scores[chosen] = (current - values[pos]) / (d - i + 1)
-        current = values[pos]
-        complement.pop(pos)
-    return scores
+    return _greedy_trace(lambda complements: [objective(c) for c in complements.tolist()], d)
 
 
 @lru_cache(maxsize=64)

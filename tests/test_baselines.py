@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksdiff import (
     DataValidationError,
+    KsdiffError,
     dataset_from_array,
     estimate_precision_cv,
     gen_example1,
+    gen_example2,
     hara15_matrix,
     hara15_score,
     ide09_score,
     mt_score,
 )
-from ksdiff.baselines import KAPPA_GRID, _mt_scores_from, ide09_scores_from_precisions
+from ksdiff.baselines import KAPPA_GRID, _mean_cov, _mt_scores_from, _sym, ide09_scores_from_precisions
 
 
 class TestPrecisionCv:
@@ -180,3 +184,164 @@ class TestHara15:
             scores = hara15_score(p, q)
             hits += int(np.argmax(scores)) in truth.changed
         assert hits >= 18
+
+
+# Reference copies of the per-kappa CV loop and the per-candidate MT loop, each
+# solving one matrix per call. The stacked code must equal them byte for byte.
+
+
+def _reference_precision_cv(x):
+    n, d = x.shape
+    folds = np.array_split(np.arange(n), 3)
+    best_ll, best_kappa = -np.inf, float(KAPPA_GRID[0])
+    for kappa in KAPPA_GRID:
+        ll = 0.0
+        for f in range(3):
+            train = x[np.concatenate([folds[g] for g in range(3) if g != f])]
+            mean, cov = _mean_cov(train)
+            try:
+                prec = np.linalg.inv(cov + float(kappa) * np.eye(d))
+            except np.linalg.LinAlgError:
+                ll += -np.inf
+                continue
+            sign, logdet = np.linalg.slogdet(prec)
+            if sign <= 0:
+                ll += -np.inf
+                continue
+            centered = x[folds[f]] - mean
+            quad = np.einsum("ij,jk,ik->i", centered, prec, centered)
+            ll += float(np.mean(0.5 * (logdet - d * np.log(2.0 * np.pi) - quad)))
+        ll /= 3.0
+        if ll > best_ll:
+            best_ll, best_kappa = ll, float(kappa)
+    _, cov = _mean_cov(x)
+    try:
+        return _sym(np.linalg.inv(cov + best_kappa * np.eye(d))), best_kappa
+    except np.linalg.LinAlgError:
+        return None, best_kappa
+
+
+def _reference_solve(c_sub, g_sub, subset):
+    try:
+        return np.linalg.solve(c_sub, g_sub)
+    except np.linalg.LinAlgError:
+        ridge = 1e-10 * max(float(np.trace(c_sub)) / c_sub.shape[0], 1.0)
+        try:
+            return np.linalg.solve(c_sub + ridge * np.eye(c_sub.shape[0]), g_sub)
+        except np.linalg.LinAlgError:
+            raise KsdiffError(f"singular submatrix for features {sorted(subset)}") from None
+
+
+def _reference_mt_trace(gamma, c):
+    def objective(complement):
+        if not complement:
+            return 0.0
+        idx = np.asarray(complement, dtype=np.intp)
+        solved = _reference_solve(c[np.ix_(idx, idx)], gamma[np.ix_(idx, idx)], complement)
+        return abs(float(len(complement)) - float(np.trace(solved)))
+
+    d = gamma.shape[0]
+    complement = list(range(d))
+    scores = np.zeros(d, dtype=np.float64)
+    current = float(objective(complement))
+    for i in range(1, d + 1):
+        values = [float(objective([c for c in complement if c != cand])) for cand in complement]
+        pos = int(np.argmin(values))
+        chosen = complement[pos]
+        scores[chosen] = (current - values[pos]) / (d - i + 1)
+        current = values[pos]
+        complement.pop(pos)
+    return scores
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_mt_score(p, q):
+    mean_p, cov_p = _mean_cov(p)
+    _, kappa_p = _reference_precision_cv(p)
+    centered_q = q - mean_p
+    gamma = _sym(centered_q.T @ centered_q / q.shape[0])
+    return _reference_mt_trace(gamma, cov_p + kappa_p * np.eye(p.shape[1]))
+
+
+def _outcome(fn, *args):
+    """A call's result as bytes (arrays) or values, or its error as (type, message)."""
+    try:
+        result = fn(*args)
+    except KsdiffError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, tuple):
+        return tuple(r.tobytes() if isinstance(r, np.ndarray) else r for r in result)
+    return result.tobytes()
+
+
+@st.composite
+def _sample_pairs(draw):
+    """Two samples over 2-8 features with 3-60 rows each, some with constant or duplicated columns."""
+    d = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a duplicated column at 1e8 loses the smaller ridges to rounding, at 1e13 every ridge
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e8, 1e13]))
+    integer = draw(st.booleans())
+    samples = []
+    for _ in range(2):
+        x = rng.normal(size=(draw(st.integers(3, 60)), d)) * scale
+        x = np.round(x) if integer else x
+        if draw(st.booleans()):
+            x[:, draw(st.integers(0, d - 1))] = draw(st.sampled_from([0.0, 1.0, -2.5e3]))
+        if draw(st.booleans()):
+            i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+            x[:, j] = x[:, i]
+        samples.append(x)
+    return samples
+
+
+class TestStackedLinearAlgebraMatchesPerItemLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(_sample_pairs())
+    def test_precision_cv_and_mt_scores_byte_identical(self, pair):
+        p, q = pair
+        ref_prec, ref_kappa = _reference_precision_cv(p)
+        if ref_prec is None:
+            got = _outcome(estimate_precision_cv, dataset_from_array(p))
+            assert got[0] == "DataValidationError" and "is singular" in got[1]
+        else:
+            assert _outcome(estimate_precision_cv, dataset_from_array(p)) == (ref_prec.tobytes(), ref_kappa)
+            assert _outcome(mt_score, dataset_from_array(p), dataset_from_array(q)) == _outcome(_reference_mt_score, p, q)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_twenty_features_byte_identical(self, seed):
+        # 20 features: the greedy rounds' traces sum more than 8 diagonal entries
+        p, q, _ = gen_example2(100, seed)
+        assert _outcome(estimate_precision_cv, p) == _outcome(_reference_precision_cv, p.values)
+        assert _outcome(mt_score, p, q) == _outcome(_reference_mt_score, p.values, q.values)
+
+    def test_cv_fold_with_some_ridges_singular_falls_back_per_item(self):
+        # a duplicated column with variance near 1e16: the smaller ridges vanish in rounding, the larger do not
+        x = np.random.default_rng(11).normal(size=(60, 3)) * 1e8
+        x[:, 2] = x[:, 0]
+        _, cov = _mean_cov(x[20:])
+        singular = []
+        for kappa in KAPPA_GRID:
+            try:
+                np.linalg.inv(cov + kappa * np.eye(3))
+                singular.append(False)
+            except np.linalg.LinAlgError:
+                singular.append(True)
+        assert any(singular) and not all(singular)
+        assert _outcome(estimate_precision_cv, dataset_from_array(x)) == _outcome(_reference_precision_cv, x)
+
+    @pytest.mark.parametrize(
+        "c",
+        [np.ones((2, 2)), np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])],
+        ids=["whole-block", "one-candidate-per-round"],
+    )
+    def test_singular_block_retried_with_ridge_as_per_block_loop(self, c):
+        gamma = c + np.diag(np.arange(1.0, c.shape[0] + 1))
+        assert _outcome(_mt_scores_from, gamma, c) == _outcome(_reference_mt_trace, gamma, c)
+
+    def test_block_singular_after_ridge_raises_the_same_message(self):
+        # the ridge 1e-10 exactly cancels the first diagonal entry, so the retried block is singular too
+        c = np.diag([-1e-10, 0.0])
+        expected = ("KsdiffError", "singular submatrix for features [0, 1]")
+        assert _outcome(_reference_mt_trace, c, c) == expected
+        assert _outcome(_mt_scores_from, c, c) == expected

@@ -217,3 +217,28 @@ class TestWriters:
         write_errors_csv(reports, path)
         assert path.read_text() == "method,N,rep_seed,error\n"
 
+
+    def test_all_failed_cell_writes_no_non_finite_number(self, tmp_path):
+        # N = 2 is below the 3 rows the ridge CV needs, so every repetition fails
+        failed = run_experiment(ExperimentConfig("example2", ("mt",), (2,), 1, 0))
+        assert failed[0].successful == () and np.isnan(failed[0].mean_auroc)
+        path = tmp_path / "aggregate.json"
+        write_aggregate_json(failed, path)
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        cell = json.loads(path.read_text(), parse_constant=reject)["cells"][0]
+        assert cell["mean_auroc"] is None and cell["failures"] == 1
+        table = tmp_path / "auroc_vs_N.csv"
+        write_auroc_vs_n_csv(failed, table)
+        assert table.read_text() == "method,N,mean_auroc,std\nmt,2,,0.0\n"
+
+    def test_json_writer_refuses_non_finite_numbers(self, tmp_path):
+        from ksdiff.data import _write_json
+
+        path = tmp_path / "out.json"
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                _write_json(path, {"x": value})
+            assert not path.exists()

@@ -1,3 +1,4 @@
+import warnings
 from math import comb
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import ksdiff.solvers
 from ksdiff import (
     DataValidationError,
+    KsdiffError,
     SolverLimitError,
     build_ks_matrix,
     complement_objective,
@@ -140,6 +142,14 @@ class TestGreedyScore:
             return complement_objective(w, complement)
 
         assert np.allclose(greedy_score_objective(objective, 6), greedy_score(w).scores, atol=1e-12)
+
+    def test_matrix_whose_sum_overflows_rejected_without_warnings(self):
+        # each entry is finite, but the objective's total is not
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(KsdiffError, match="^weight matrix is too large: twice its sum overflows the float range$"):
+                greedy_score(np.full((2, 2), 1e308))
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestIndexChecks:

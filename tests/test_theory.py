@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ksdiff import (
     recovery_trial,
     sample_bound,
 )
-from ksdiff.errors import ConfigFieldError
+from ksdiff.errors import ConfigFieldError, KsdiffError
 
 from conftest import structured_instance
 
@@ -197,6 +198,14 @@ class TestRecoveryTrial:
         # a noise range [-magnitude, magnitude] wider than the float range cannot be drawn
         with pytest.raises(error, match=message):
             recovery_trial(np.diag([1.0, 0.0, 0.0, 0.0]), [0], 3, magnitude=magnitude, trials=2, seed=0)
+
+    def test_perturbation_whose_sum_overflows_rejected_without_warnings(self):
+        # the magnitude is just under half the float range, so the noise draws, but a perturbed sum overflows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(KsdiffError, match="twice its sum overflows the float range"):
+                recovery_trial(np.diag([1.0, 0, 0, 0]), [0], 3, 8.988465674311579e307, 2, 0)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     @pytest.mark.parametrize("seed", [1.5, -1])
     def test_non_integer_or_negative_seed_rejected(self, seed):
