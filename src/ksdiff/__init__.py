@@ -48,7 +48,6 @@ from .solvers import (
     exact_min,
     greedy_k,
     greedy_score,
-    greedy_score_objective,
     optimality_margin,
 )
 from .synth import (
@@ -103,7 +102,6 @@ __all__ = [
     "gen_example2",
     "greedy_k",
     "greedy_score",
-    "greedy_score_objective",
     "hara15_matrix",
     "hara15_score",
     "ide09_score",

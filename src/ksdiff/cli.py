@@ -12,8 +12,8 @@ subcommand mutates its input files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -29,7 +29,6 @@ from .theory import check_conditions
 
 _MAX_SEED = 2**64 - 1
 
-METHODS = ("proposed", "mt", "ide09", "hara15")
 SOLVERS = ("greedy-score", "greedy-k", "exact")
 
 
@@ -166,7 +165,16 @@ def _cmd_check(args) -> int:
     return 0
 
 
-_SPEC_KEYS = {"sample_sizes": "N", "num_angles": "L"}  # ExperimentConfig field -> spec key
+# experiment spec key -> ExperimentConfig field; a key is optional when its field has a default
+_SPEC_FIELDS = {
+    "generator": "generator",
+    "methods": "methods",
+    "N": "sample_sizes",
+    "repetitions": "repetitions",
+    "master_seed": "master_seed",
+    "L": "num_angles",
+    "jobs": "jobs",
+}
 
 
 def _cmd_experiment(args) -> int:
@@ -177,32 +185,20 @@ def _cmd_experiment(args) -> int:
         raise KsdiffError(f"cannot read experiment spec {args.spec}: {exc}") from None
     if not isinstance(raw, dict):
         raise KsdiffError("experiment spec must be a JSON object")
-    required = {"generator", "methods", "N", "repetitions", "master_seed"}
-    missing = sorted(required - raw.keys())
+    defaults = {f.name for f in dataclasses.fields(evaluate.ExperimentConfig) if f.default is not dataclasses.MISSING}
+    missing = sorted(key for key, field in _SPEC_FIELDS.items() if field not in defaults and key not in raw)
     if missing:
         raise KsdiffError(f"experiment spec missing keys: {missing}")
-    unknown = sorted(raw.keys() - required - {"L", "jobs"})
+    unknown = sorted(raw.keys() - _SPEC_FIELDS.keys())
     if unknown:
         raise KsdiffError(f"experiment spec has unknown keys: {unknown}")
+    # a spec's jobs wins over --jobs
     try:
-        config = evaluate.ExperimentConfig(
-            generator=raw["generator"],
-            methods=raw["methods"],
-            sample_sizes=raw["N"],
-            repetitions=raw["repetitions"],
-            master_seed=raw["master_seed"],
-            num_angles=raw.get("L", 10),
-            jobs=raw.get("jobs", args.jobs),
-        )
+        config = evaluate.ExperimentConfig(**{"jobs": args.jobs, **{_SPEC_FIELDS[key]: value for key, value in raw.items()}})
     except evaluate.ConfigFieldError as exc:
-        key = _SPEC_KEYS.get(exc.field, exc.field)
+        key = next(key for key, field in _SPEC_FIELDS.items() if field == exc.field)
         raise KsdiffError(f"experiment spec key {key!r}: {exc}") from None
-    reports = evaluate.run_experiment(config)
-    os.makedirs(args.out_dir, exist_ok=True)
-    evaluate.write_report_csv(reports, os.path.join(args.out_dir, "report.csv"))
-    evaluate.write_aggregate_json(reports, os.path.join(args.out_dir, "aggregate.json"))
-    evaluate.write_auroc_vs_n_csv(reports, os.path.join(args.out_dir, "auroc_vs_N.csv"))
-    evaluate.write_errors_csv(reports, os.path.join(args.out_dir, "errors.csv"))
+    evaluate.write_experiment(evaluate.run_experiment(config), args.out_dir)
     return 0
 
 
@@ -216,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     select = sub.add_parser("select", help="rank features that differ between two CSV samples")
     select.add_argument("--p", required=True, help="first sample CSV")
     select.add_argument("--q", required=True, help="second sample CSV")
-    select.add_argument("--method", choices=METHODS, default="proposed")
+    select.add_argument("--method", choices=evaluate.METHODS, default="proposed")
     select.add_argument("--solver", choices=SOLVERS, default="greedy-score")
     select.add_argument("--k", type=int, default=None, help="complement size for greedy-k/exact")
     select.add_argument("--L", type=int, default=10, help="projection angles per feature pair")

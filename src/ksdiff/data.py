@@ -48,13 +48,20 @@ from .errors import ConfigFieldError, DataValidationError
 
 
 def _check_names(names, d: int) -> tuple[str, ...]:
-    """``names`` as a tuple of ``d`` distinct strings, each non-empty, with no comma or newline."""
+    """``names`` as a tuple of ``d`` distinct strings that a table header holds exactly.
+
+    Each is non-empty, with no comma or newline, no leading or trailing
+    whitespace (the reader strips it) and no leading quote (the reader takes
+    it as quoting).
+    """
     names = tuple(str(n) for n in names)
     for name in names:
         if not name:
             raise DataValidationError("feature names must be non-empty")
         if "," in name or "\n" in name or "\r" in name:
             raise DataValidationError(f"feature name {name!r} contains a comma or newline")
+        if name != name.strip() or name.startswith('"'):
+            raise DataValidationError(f"feature name {name!r} has surrounding whitespace or a leading quote")
     if len(names) != d:
         raise DataValidationError(f"{len(names)} names for {d} features")
     if len(set(names)) != d:

@@ -1,4 +1,4 @@
-"""Ranking-quality scoring against ground truth and the seeded experiment runner.
+"""Ranking-quality scoring against ground truth, the seeded experiment runner and its writer.
 
 AUROC here is the rank (Mann-Whitney) form: the probability that a changed
 feature outranks an unchanged one under the method's scores, with tied pairs
@@ -9,6 +9,7 @@ and reruns are reproducible regardless of execution order or parallelism.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -55,6 +56,9 @@ def proposed_score(p: Dataset, q: Dataset, num_angles: int, seed: int, jobs: int
     return greedy_score(build_ks_matrix(p, q, num_angles, seed, jobs=jobs)).scores
 
 
+METHODS = ("proposed", "mt", "ide09", "hara15")
+
+
 def _method_registry(num_angles: int):
     return {
         "proposed": lambda p, q, seed: proposed_score(p, q, num_angles, seed),
@@ -66,9 +70,11 @@ def _method_registry(num_angles: int):
 
 @dataclass(frozen=True)
 class ExperimentRecord:
+    """One repetition of one method; ``auroc`` is None exactly when ``error`` is set."""
+
     seed: int
     n: int
-    auroc: float
+    auroc: float | None
     runtime_sec: float
     error: str | None = None
 
@@ -86,9 +92,10 @@ class ExperimentReport:
         return tuple(r for r in self.records if r.error is None)
 
     @property
-    def mean_auroc(self) -> float:
+    def mean_auroc(self) -> float | None:
+        """Mean AUROC of the successful repetitions, or None when none succeeded."""
         ok = self.successful
-        return float(np.mean([r.auroc for r in ok])) if ok else float("nan")
+        return float(np.mean([r.auroc for r in ok])) if ok else None
 
     @property
     def std_auroc(self) -> float:
@@ -118,9 +125,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.generator, str) or self.generator not in GENERATORS:
             raise ConfigFieldError("generator", f"must be in {sorted(GENERATORS)}, got {self.generator!r}")
-        methods, known = _items("methods", self.methods), set(_method_registry(1))
-        if not all(isinstance(m, str) and m in known for m in methods):
-            raise ConfigFieldError("methods", f"must be a subset of {sorted(known)}, got {list(methods)}")
+        methods = _items("methods", self.methods)
+        if not all(isinstance(m, str) and m in METHODS for m in methods):
+            raise ConfigFieldError("methods", f"must be a subset of {sorted(METHODS)}, got {list(methods)}")
         sizes = tuple(_integer("sample_sizes", n, 2) for n in _items("sample_sizes", self.sample_sizes))
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "sample_sizes", sizes)
@@ -159,7 +166,7 @@ def run_experiment(config: ExperimentConfig, registry=None) -> list[ExperimentRe
                 out[name] = ExperimentRecord(seed, n, auroc(finite_scores(name, scores), truth), elapsed)
             except Exception as exc:  # recorded, not fatal to the sweep
                 elapsed = time.perf_counter() - started
-                out[name] = ExperimentRecord(seed, n, float("nan"), elapsed, error=str(exc))
+                out[name] = ExperimentRecord(seed, n, None, elapsed, error=str(exc))
         return out
 
     cells = [(n, rep) for n in config.sample_sizes for rep in range(config.repetitions)]
@@ -175,43 +182,42 @@ def run_experiment(config: ExperimentConfig, registry=None) -> list[ExperimentRe
     return reports
 
 
-def write_report_csv(reports: list[ExperimentReport], path) -> None:
-    """Flat per-repetition table: method,N,rep_seed,auroc,runtime_sec."""
-    rows = ((r.method, rec.n, rec.seed, rec.auroc, rec.runtime_sec) for r in reports for rec in r.records)
-    _write_csv(path, ("method", "N", "rep_seed", "auroc", "runtime_sec"), rows)
+def write_experiment(reports: list[ExperimentReport], out_dir) -> None:
+    """Write a sweep's four files into ``out_dir``, creating it.
 
-
-def write_errors_csv(reports: list[ExperimentReport], path) -> None:
-    """One row per failed cell: method,N,rep_seed,error; only the header when none failed."""
-    rows = ((r.method, rec.n, rec.seed, rec.error) for r in reports for rec in r.records if rec.error is not None)
-    _write_csv(path, ("method", "N", "rep_seed", "error"), rows)
-
-
-def _mean_or_none(report: ExperimentReport) -> float | None:
-    """The cell's mean AUROC, or None when every repetition failed: JSON has no NaN."""
-    return report.mean_auroc if report.successful else None
-
-
-def aggregate_dict(reports: list[ExperimentReport]) -> dict:
-    return {
-        "cells": [
-            {
-                "method": r.method,
-                "N": r.n,
-                "repetitions": len(r.records),
-                "failures": len(r.records) - len(r.successful),
-                "mean_auroc": _mean_or_none(r),
-                "std_auroc": r.std_auroc,
-            }
-            for r in reports
-        ]
-    }
-
-
-def write_aggregate_json(reports: list[ExperimentReport], path) -> None:
-    _write_json(path, aggregate_dict(reports))
-
-
-def write_auroc_vs_n_csv(reports: list[ExperimentReport], path) -> None:
-    """Plot-ready aggregate table: method,N,mean_auroc,std; mean_auroc is empty when every repetition failed."""
-    _write_csv(path, ("method", "N", "mean_auroc", "std"), ((r.method, r.n, _mean_or_none(r), r.std_auroc) for r in reports))
+    ``report.csv`` has method,N,rep_seed,auroc,runtime_sec per repetition, the
+    auroc empty for a failed one; ``errors.csv`` has method,N,rep_seed,error
+    per failed repetition (only the header when none failed);
+    ``aggregate.json`` the count, failures, mean and std of each cell; and
+    ``auroc_vs_N.csv`` method,N,mean_auroc,std, the mean empty (null in the
+    JSON) when every repetition of the cell failed.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    records = [(r.method, rec) for r in reports for rec in r.records]
+    _write_csv(
+        os.path.join(out_dir, "report.csv"),
+        ("method", "N", "rep_seed", "auroc", "runtime_sec"),
+        ((m, rec.n, rec.seed, rec.auroc, rec.runtime_sec) for m, rec in records),
+    )
+    _write_csv(
+        os.path.join(out_dir, "errors.csv"),
+        ("method", "N", "rep_seed", "error"),
+        ((m, rec.n, rec.seed, rec.error) for m, rec in records if rec.error is not None),
+    )
+    cells = [
+        {
+            "method": r.method,
+            "N": r.n,
+            "repetitions": len(r.records),
+            "failures": len(r.records) - len(r.successful),
+            "mean_auroc": r.mean_auroc,
+            "std_auroc": r.std_auroc,
+        }
+        for r in reports
+    ]
+    _write_json(os.path.join(out_dir, "aggregate.json"), {"cells": cells})
+    _write_csv(
+        os.path.join(out_dir, "auroc_vs_N.csv"),
+        ("method", "N", "mean_auroc", "std"),
+        ((r.method, r.n, r.mean_auroc, r.std_auroc) for r in reports),
+    )

@@ -118,18 +118,6 @@ def _greedy_trace(values_of: Callable[[np.ndarray], Sequence[float]], d: int) ->
     return scores
 
 
-def greedy_score_objective(objective: Callable[[list[int]], float], d: int) -> np.ndarray:
-    """Greedy scoring trace for an arbitrary objective over complements.
-
-    ``objective`` maps a sorted list of complement indices to a value; the
-    loop mirrors ``greedy_score`` but evaluates the objective directly, so it
-    also serves non-quadratic objectives. Scores may be negative when the
-    objective is not monotone.
-    """
-    d = _integer("d", d, 1)
-    return _greedy_trace(lambda complements: [objective(c) for c in complements.tolist()], d)
-
-
 @lru_cache(maxsize=64)
 def _suffixes(n: int, r: int) -> np.ndarray:
     """All r-subsets of range(n), one per row, in lexicographic order (read-only)."""
@@ -194,7 +182,7 @@ def exact_min(h, k: int, limit_d: int = DEFAULT_EXACT_LIMIT) -> SolverResult:
     """
     w = as_weight_matrix(h)
     d = w.shape[0]
-    if d > limit_d:
+    if d > _integer("limit_d", limit_d, 1):
         raise SolverLimitError(f"exact solver size limit: D={d} exceeds {limit_d}")
     _integer("k", k, 0, d)
     best = [sorted(set(range(d)) - set(_peel(w, d - k)[0]))]
@@ -218,7 +206,7 @@ def optimality_margin(h, selected, k: int, limit_d: int = DEFAULT_EXACT_LIMIT) -
     """
     w = as_weight_matrix(h)
     d = w.shape[0]
-    if d > limit_d:
+    if d > _integer("limit_d", limit_d, 1):
         raise SolverLimitError(f"margin enumeration size limit: D={d} exceeds {limit_d}")
     _integer("k", k, 0, d)
     star = frozenset(_integer("selected", i, 0, d - 1) for i in selected)

@@ -33,7 +33,6 @@ PUBLIC_NAMES = [
     "gen_example2",
     "greedy_k",
     "greedy_score",
-    "greedy_score_objective",
     "hara15_matrix",
     "hara15_score",
     "ide09_score",
@@ -62,7 +61,7 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(ksdiff.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 53
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 52
 
 
 def test_every_public_name_resolves():

@@ -428,8 +428,14 @@ class TestExperimentCommand:
             "method,N,rep_seed,error",
             *(f"mt,60,{seed},mt failed" for seed in seeds),
         ]
-        # the failure is in errors.csv only; report.csv keeps its columns
-        assert (failed / "report.csv").read_text().splitlines()[0] == "method,N,rep_seed,auroc,runtime_sec"
+        # the failure's auroc field is empty; its message is in errors.csv only
+        report = (failed / "report.csv").read_text().splitlines()
+        assert report[0] == "method,N,rep_seed,auroc,runtime_sec" and len(report) == 5
+        for seed, row in zip(seeds, report[3:]):
+            *fields, runtime = row.split(",")
+            assert fields == ["mt", "60", seed, ""] and float(runtime) >= 0.0, row
+        for name in ("report.csv", "errors.csv", "aggregate.json", "auroc_vs_N.csv"):
+            assert "nan" not in (failed / name).read_text().lower()
 
     def test_rerun_aggregates_identical(self, tmp_path):
         spec = self._spec(tmp_path, repetitions=2)
@@ -446,6 +452,23 @@ class TestExperimentCommand:
         missing = tmp_path / "missing.json"
         missing.write_text(json.dumps({"generator": "example2"}))
         assert main(["experiment", "--spec", str(missing), "--out-dir", str(tmp_path / "o")]) == 2
+
+    def test_missing_spec_keys_named(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"generator": "example2", "L": 3}))
+        assert main(["experiment", "--spec", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: experiment spec missing keys: ['N', 'master_seed', 'methods', 'repetitions']\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("where", ["spec", "option"])
+    def test_bad_jobs_names_the_jobs_key(self, tmp_path, capsys, where):
+        spec = self._spec(tmp_path, jobs=0) if where == "spec" else self._spec(tmp_path)
+        argv = ["experiment", "--spec", spec, "--out-dir", str(tmp_path / "o")]
+        # a spec's jobs wins over --jobs
+        argv += ["--jobs", "2" if where == "spec" else "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: experiment spec key 'jobs': jobs must be an integer >= 1, got 0 (out of range)\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text", ["[1, 2]", '"spec"', "null", "3"])
     def test_spec_not_an_object_exit_2(self, tmp_path, capsys, text):

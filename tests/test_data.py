@@ -56,6 +56,14 @@ class TestDataset:
         with pytest.raises(DataValidationError):
             Dataset(("a",), np.ones((2, 2)))
 
+    # the table reader strips a header field and takes a leading quote as quoting
+    @pytest.mark.parametrize("name", [" a", "a ", "\ta", '"a', '"b"'])
+    def test_rejects_name_the_table_cannot_hold(self, name):
+        with pytest.raises(DataValidationError, match="surrounding whitespace or a leading quote"):
+            Dataset((name, "b"), np.ones((2, 2)))
+        with pytest.raises(DataValidationError, match="surrounding whitespace or a leading quote"):
+            EmpiricalKsMatrix(np.zeros((2, 2)), (name, "b"), 1, 0, "per-pair")
+
 
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
@@ -68,6 +76,16 @@ class TestCsvRoundTrip:
         back = load_dataset_csv(path)
         assert back.names == ds.names
         assert back.values.tobytes() == ds.values.tobytes()
+
+    # "#x" first makes a header line that starts like a matrix file's provenance line
+    @pytest.mark.parametrize("names", [('a"b', "#x"), ("#x", 'a"b')])
+    def test_names_with_inner_quote_or_hash_round_trip(self, tmp_path, names):
+        ds = Dataset(names, np.eye(2))
+        save_dataset_csv(ds, tmp_path / "ds.csv")
+        assert load_dataset_csv(tmp_path / "ds.csv").names == names
+        m = EmpiricalKsMatrix(np.eye(2), names, 1, 0, "per-pair")
+        save_matrix(m, tmp_path / "h.csv")
+        assert load_matrix(tmp_path / "h.csv").names == names
 
     def test_parse_error_has_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -14,7 +14,7 @@ from ksdiff import (
     repetition_seed,
     run_experiment,
 )
-from ksdiff.evaluate import write_aggregate_json, write_auroc_vs_n_csv, write_errors_csv, write_report_csv
+from ksdiff.evaluate import write_experiment
 
 
 class TestAuroc:
@@ -101,8 +101,8 @@ class TestRunner:
 
         registry = {"proposed": boom}
         reports = run_experiment(_tiny_config(), registry=registry)
-        assert all(r.error == "scoring failed" for r in reports[0].records)
-        assert np.isnan(reports[0].mean_auroc)
+        assert all(r.error == "scoring failed" and r.auroc is None for r in reports[0].records)
+        assert reports[0].mean_auroc is None
 
     def test_all_methods_share_the_same_data_seed(self):
         reports = run_experiment(_tiny_config(methods=("proposed", "hara15")))
@@ -160,7 +160,7 @@ class TestRunner:
         reports = run_experiment(_tiny_config(), registry=registry)
         errors = [r.error for r in reports[0].records]
         assert errors == ["method 'proposed' produced non-finite scores"] * 2
-        assert np.isnan(reports[0].mean_auroc)
+        assert reports[0].mean_auroc is None
 
     def test_overflowing_hara15_recorded_as_failure(self):
         def scaled(ds):
@@ -178,27 +178,25 @@ class TestWriters:
         return run_experiment(_tiny_config(repetitions=2))
 
     def test_report_csv_schema(self, reports, tmp_path):
-        path = tmp_path / "report.csv"
-        write_report_csv(reports, path)
-        lines = path.read_text().splitlines()
+        write_experiment(reports, tmp_path)
+        lines = (tmp_path / "report.csv").read_text().splitlines()
         assert lines[0] == "method,N,rep_seed,auroc,runtime_sec"
         assert len(lines) == 3
 
     def test_aggregate_json_round_trips(self, reports, tmp_path):
-        path = tmp_path / "aggregate.json"
-        write_aggregate_json(reports, path)
-        payload = json.loads(path.read_text())
+        write_experiment(reports, tmp_path)
+        payload = json.loads((tmp_path / "aggregate.json").read_text())
         cell = payload["cells"][0]
         assert cell["method"] == "proposed"
         assert cell["repetitions"] == 2
         assert 0.0 <= cell["mean_auroc"] <= 1.0
 
     def test_auroc_table_is_deterministic(self, reports, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_auroc_vs_n_csv(reports, a)
-        write_auroc_vs_n_csv(run_experiment(_tiny_config(repetitions=2)), b)
-        assert a.read_bytes() == b.read_bytes()
-        assert a.read_text().splitlines()[0] == "method,N,mean_auroc,std"
+        a, b = tmp_path / "a", tmp_path / "b"
+        write_experiment(reports, a)
+        write_experiment(run_experiment(_tiny_config(repetitions=2)), b)
+        assert (a / "auroc_vs_N.csv").read_bytes() == (b / "auroc_vs_N.csv").read_bytes()
+        assert (a / "auroc_vs_N.csv").read_text().splitlines()[0] == "method,N,mean_auroc,std"
 
     def test_errors_csv_lists_failed_cells(self, reports, tmp_path):
         def boom(p, q, seed):
@@ -206,33 +204,30 @@ class TestWriters:
 
         registry = {"mt": boom, "proposed": lambda p, q, seed: np.arange(p.num_features, dtype=float)}
         failing = run_experiment(_tiny_config(methods=("mt", "proposed")), registry=registry)
-        path = tmp_path / "errors.csv"
-        write_errors_csv(failing, path)
-        with open(path, newline="", encoding="utf-8") as fh:
+        write_experiment(failing, tmp_path / "failing")
+        with open(tmp_path / "failing" / "errors.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         seeds = [rec.seed for rec in failing[0].records]
         assert rows == [["method", "N", "rep_seed", "error"]] + [
             ["mt", "60", str(seed), f'scoring failed, seed "{seed}"\nsee log'] for seed in seeds
         ]
-        write_errors_csv(reports, path)
-        assert path.read_text() == "method,N,rep_seed,error\n"
-
+        write_experiment(reports, tmp_path / "clean")
+        assert (tmp_path / "clean" / "errors.csv").read_text() == "method,N,rep_seed,error\n"
 
     def test_all_failed_cell_writes_no_non_finite_number(self, tmp_path):
         # N = 2 is below the 3 rows the ridge CV needs, so every repetition fails
         failed = run_experiment(ExperimentConfig("example2", ("mt",), (2,), 1, 0))
-        assert failed[0].successful == () and np.isnan(failed[0].mean_auroc)
-        path = tmp_path / "aggregate.json"
-        write_aggregate_json(failed, path)
+        assert failed[0].successful == () and failed[0].mean_auroc is None
+        write_experiment(failed, tmp_path)
 
         def reject(constant):
             raise ValueError(f"non-finite JSON constant {constant}")
 
-        cell = json.loads(path.read_text(), parse_constant=reject)["cells"][0]
+        cell = json.loads((tmp_path / "aggregate.json").read_text(), parse_constant=reject)["cells"][0]
         assert cell["mean_auroc"] is None and cell["failures"] == 1
-        table = tmp_path / "auroc_vs_N.csv"
-        write_auroc_vs_n_csv(failed, table)
-        assert table.read_text() == "method,N,mean_auroc,std\nmt,2,,0.0\n"
+        assert (tmp_path / "auroc_vs_N.csv").read_text() == "method,N,mean_auroc,std\nmt,2,,0.0\n"
+        seed, runtime = failed[0].records[0].seed, failed[0].records[0].runtime_sec
+        assert (tmp_path / "report.csv").read_text() == f"method,N,rep_seed,auroc,runtime_sec\nmt,2,{seed},,{runtime!r}\n"
 
     def test_json_writer_refuses_non_finite_numbers(self, tmp_path):
         from ksdiff.data import _write_json

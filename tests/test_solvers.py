@@ -1,3 +1,4 @@
+import re
 import warnings
 from math import comb
 from unittest import mock
@@ -17,7 +18,6 @@ from ksdiff import (
     exact_min,
     greedy_k,
     greedy_score,
-    greedy_score_objective,
     optimality_margin,
 )
 from ksdiff.synth import GENERATORS
@@ -138,10 +138,10 @@ class TestGreedyScore:
         rng = np.random.default_rng(7)
         w = _random_weights(rng, 6)
 
-        def objective(complement):
-            return complement_objective(w, complement)
+        def objective(complements):
+            return w[complements[:, :, None], complements[:, None, :]].sum(axis=(1, 2))
 
-        assert np.allclose(greedy_score_objective(objective, 6), greedy_score(w).scores, atol=1e-12)
+        assert np.allclose(ksdiff.solvers._greedy_trace(objective, 6), greedy_score(w).scores, atol=1e-12)
 
     def test_matrix_whose_sum_overflows_rejected_without_warnings(self):
         # each entry is finite, but the objective's total is not
@@ -171,11 +171,6 @@ class TestIndexChecks:
     def test_complement_of_numpy_indices_is_summed_once(self):
         w = _random_weights(np.random.default_rng(8), 4)
         assert complement_objective(w, np.array([2, 0])) == complement_objective(w, [0, 2]) == w[np.ix_([0, 2], [0, 2])].sum()
-
-    @pytest.mark.parametrize("d", [2.5, 0, True])
-    def test_objective_runner_feature_count_checked(self, d):
-        with pytest.raises(DataValidationError, match="d must be an integer >= 1"):
-            greedy_score_objective(lambda complement: 0.0, d)
 
 
 class TestExactMin:
@@ -216,6 +211,16 @@ class TestExactMin:
         with pytest.raises(SolverLimitError, match="^margin enumeration size limit: D=26 exceeds 25$"):
             optimality_margin(np.zeros((26, 26)), range(23), 3)
         assert optimality_margin(np.zeros((26, 26)), range(23), 3, limit_d=26) == 0.0
+
+    @pytest.mark.parametrize("limit_d", ["25", None, 2.5, True, 0])
+    def test_size_limit_checked(self, limit_d):
+        with pytest.raises(DataValidationError, match="^" + re.escape(f"limit_d must be an integer >= 1, got {limit_d!r}")):
+            exact_min(np.zeros((4, 4)), 2, limit_d=limit_d)
+
+    @pytest.mark.parametrize("limit_d", ["25", None, 2.5, True, 0])
+    def test_margin_size_limit_checked(self, limit_d):
+        with pytest.raises(DataValidationError, match="^" + re.escape(f"limit_d must be an integer >= 1, got {limit_d!r}")):
+            optimality_margin(np.zeros((4, 4)), [0, 1], 2, limit_d=limit_d)
 
 
 class TestOptimalityMargin:
