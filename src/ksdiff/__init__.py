@@ -28,7 +28,6 @@ from .evaluate import (
     ExperimentRecord,
     ExperimentReport,
     auroc,
-    proposed_score,
     repetition_seed,
     run_experiment,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "perturb",
     "projected_ks",
     "projected_ks_grid",
-    "proposed_score",
     "recovery_trial",
     "repetition_seed",
     "run_experiment",

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import evaluate
-from .baselines import hara15_matrix, hara15_score, ide09_score, mt_score
+from .baselines import hara15_matrix, ide09_score, mt_score
 from .data import _check_same_columns, _finite, _integer, _write_csv, _write_json, load_dataset_csv, save_dataset_csv, standardize
 from .errors import DataValidationError, KsdiffError, SolverLimitError
 from .matrix import ANGLE_POLICIES, build_ks_matrix, load_matrix, save_matrix
@@ -81,6 +81,9 @@ def _cmd_select(args) -> int:
     if args.method in ("mt", "ide09") and args.solver != "greedy-score":
         raise KsdiffError(f"method {args.method!r} only supports the greedy-score solver")
     p, q = _load_pair(args.p, args.q)
+    # checked for every method, also one that does not use them
+    _integer("num_angles", args.L, 1)
+    _integer("jobs", args.jobs, 1)
 
     report = {
         "method": args.method,
@@ -151,14 +154,7 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    m = load_matrix(args.matrix)
-    s_star = args.s_star
-    report = check_conditions(m, s_star, tol=args.tol)
-    if args.k is not None and args.k != report.k:
-        raise KsdiffError(
-            f"--k {args.k} conflicts with the implied complement size {report.k} for the given set"
-        )
-    payload = report.to_dict()
+    payload = check_conditions(load_matrix(args.matrix), args.s_star, tol=args.tol).to_dict()
     print(json.dumps(payload, indent=2))
     if args.out:
         _write_json(args.out, payload)
@@ -192,7 +188,9 @@ def _cmd_experiment(args) -> int:
     unknown = sorted(raw.keys() - _SPEC_FIELDS.keys())
     if unknown:
         raise KsdiffError(f"experiment spec has unknown keys: {unknown}")
-    # a spec's jobs wins over --jobs
+    # a spec's jobs wins over --jobs, which is still checked
+    if "jobs" in raw:
+        _integer("jobs", args.jobs, 1)
     try:
         config = evaluate.ExperimentConfig(**{"jobs": args.jobs, **{_SPEC_FIELDS[key]: value for key, value in raw.items()}})
     except evaluate.ConfigFieldError as exc:
@@ -247,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="identifiability report for a saved matrix")
     check.add_argument("--matrix", required=True)
     check.add_argument("--s-star", dest="s_star", type=_index_list, required=True)
-    check.add_argument("--k", type=int, default=None)
     check.add_argument("--tol", type=float, default=1e-9)
     check.add_argument("--out", default=None)
     check.set_defaults(handler=_cmd_check)

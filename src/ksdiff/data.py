@@ -193,7 +193,15 @@ def _read_table(raw: bytes, path, header_line: int) -> tuple[tuple[str, ...], np
     """
     if (fast := _read_table_native(raw, header_line)) is not None:
         return fast
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    try:
+        text = io.StringIO(raw.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        breaks = list(re.finditer(rb"\r\n?|\n", raw[: exc.start]))
+        line = len(breaks) + 1
+        if line > header_line:
+            # the rows above the bad line are read first: a defect among them comes first
+            _read_table(raw[: breaks[-1].end()], path, header_line)
+        raise DataValidationError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
     reader = csv.reader(text)
     try:
         for _ in range(header_line - 1):
@@ -216,16 +224,6 @@ def _read_table(raw: bytes, path, header_line: int) -> tuple[tuple[str, ...], np
                 if not math.isfinite(value):
                     raise DataValidationError(f"{path}: line {lineno}: non-finite value in column {name!r}")
             rows.extend(values)
-    except UnicodeDecodeError as exc:
-        # the decoder's input is its held-back bytes plus the chunk just read
-        offset = text.buffer.tell() - len(exc.object) + exc.start
-        breaks = list(re.finditer(rb"\r\n?|\n", raw[:offset]))
-        line = len(breaks) + 1
-        if line > header_line:
-            # the decoder runs a chunk ahead of the parsed rows, so the rows above
-            # the bad line are read again: a defect among them comes first
-            _read_table(raw[: breaks[-1].end()], path, header_line)
-        raise DataValidationError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise DataValidationError(f"{path}: line {header_line - 1 + reader.line_num}: {exc}") from None
     return tuple(names), np.frombuffer(rows).reshape(-1, len(names)) if rows else np.asarray([], dtype=np.float64)

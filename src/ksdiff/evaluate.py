@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import hara15_score, ide09_score, mt_score
-from .data import Dataset, _array, _fan_out, _integer, _write_csv, _write_json
+from .data import _array, _fan_out, _integer, _write_csv, _write_json
 from .errors import ConfigFieldError, DataValidationError
 from .matrix import build_ks_matrix
 from .solvers import greedy_score
@@ -51,17 +51,12 @@ def finite_scores(method: str, scores) -> np.ndarray:
     return s
 
 
-def proposed_score(p: Dataset, q: Dataset, num_angles: int, seed: int, jobs: int = 1) -> np.ndarray:
-    """Greedy scores from the pairwise KS matrix (the method under study)."""
-    return greedy_score(build_ks_matrix(p, q, num_angles, seed, jobs=jobs)).scores
-
-
 METHODS = ("proposed", "mt", "ide09", "hara15")
 
 
 def _method_registry(num_angles: int):
     return {
-        "proposed": lambda p, q, seed: proposed_score(p, q, num_angles, seed),
+        "proposed": lambda p, q, seed: greedy_score(build_ks_matrix(p, q, num_angles, seed)).scores,
         "mt": lambda p, q, seed: mt_score(p, q),
         "ide09": lambda p, q, seed: ide09_score(p, q),
         "hara15": lambda p, q, seed: hara15_score(p, q),
@@ -129,6 +124,9 @@ class ExperimentConfig:
         if not all(isinstance(m, str) and m in METHODS for m in methods):
             raise ConfigFieldError("methods", f"must be a subset of {sorted(METHODS)}, got {list(methods)}")
         sizes = tuple(_integer("sample_sizes", n, 2) for n in _items("sample_sizes", self.sample_sizes))
+        for field, items in (("methods", methods), ("sample_sizes", sizes)):
+            if len(set(items)) < len(items):
+                raise ConfigFieldError(field, f"must not repeat an entry, got {list(items)}")
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "sample_sizes", sizes)
         object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed, 0, 2**64 - 1))

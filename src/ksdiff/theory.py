@@ -154,7 +154,6 @@ class RecoveryTrialResult:
 def recovery_trial(
     h,
     s_star,
-    k: int,
     magnitude: float,
     trials: int,
     seed: int,
@@ -162,7 +161,8 @@ def recovery_trial(
 ) -> RecoveryTrialResult:
     """Recovery rate of the exact solver under random bounded perturbations.
 
-    Each trial adds a symmetric perturbation with entries uniform in
+    The claimed set fixes the complement size, ``k = D - |s_star|``. Each
+    trial adds a symmetric perturbation with entries uniform in
     [-magnitude, magnitude] (clamping the result at zero) and checks that
     the exact solver still returns the given complement. Whenever
     ``magnitude <= margin / (2 k^2)`` the guarantee applies and the rate must
@@ -178,6 +178,7 @@ def recovery_trial(
     if magnitude > sys.float_info.max / 2:  # the noise range [-magnitude, magnitude] must have a finite width
         raise ConfigFieldError("magnitude", f"must be at most half the float range, got {magnitude!r}")
     star = frozenset(_integer("s_star", i, 0, d - 1) for i in s_star)
+    k = d - len(star)
     margin = optimality_margin(w, star, k, limit_d=limit_d)
     bound = margin / (2.0 * k * k)
     complement_star = frozenset(range(d)) - star

@@ -148,7 +148,7 @@ def test_criterion_5_recovery_under_bounded_perturbation():
         margin = optimality_margin(w, changed, k)
         assert margin > 0
         result = recovery_trial(
-            w, changed, k, magnitude=margin / (2 * k * k), trials=1, seed=30_000 + trial
+            w, changed, magnitude=margin / (2 * k * k), trials=1, seed=30_000 + trial
         )
         failures += result.success_rate < 1.0
     assert _report(

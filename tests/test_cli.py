@@ -253,6 +253,24 @@ class TestSelect:
                 "--seed", "2", "--out", str(out),
             ]) == 0
 
+    @pytest.mark.parametrize("method", ["mt", "ide09", "hara15"])
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--L", "-5", "num_angles must be an integer >= 1, got -5 (out of range)"),
+            ("--jobs", "0", "jobs must be an integer >= 1, got 0 (out of range)"),
+        ],
+        ids=["L", "jobs"],
+    )
+    def test_unused_option_still_checked(self, csv_pair, tmp_path, capsys, method, option, value, message):
+        # the baselines use neither --L nor --jobs, which must not let a bad value into the report
+        p_path, q_path = csv_pair
+        out = tmp_path / "r.json"
+        argv = ["select", "--p", p_path, "--q", q_path, "--method", method, "--seed", "2", "--out", str(out)]
+        assert main(argv + [option, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_score_only_methods_reject_other_solvers(self, csv_pair, tmp_path):
         p_path, q_path = csv_pair
         code = main([
@@ -347,7 +365,7 @@ class TestCheckCommand:
         m = EmpiricalKsMatrix(np.diag([0.0, 0.0, 1.0]), ("a", "b", "c"), 10, 4, "per-pair")
         path = tmp_path / "h.csv"
         save_matrix(m, path)
-        code = main(["check", "--matrix", str(path), "--s-star", "2", "--k", "2"])
+        code = main(["check", "--matrix", str(path), "--s-star", "2"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["margin"] == 1.0
@@ -372,12 +390,6 @@ class TestCheckCommand:
         assert main(["check", "--matrix", str(path), "--s-star", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {path}: line 4: not UTF-8 text (invalid continuation byte)\n"
-
-    def test_conflicting_k_exit_2(self, tmp_path):
-        m = EmpiricalKsMatrix(np.diag([0.0, 0.0, 1.0]), ("a", "b", "c"), 10, 4, "per-pair")
-        path = tmp_path / "h.csv"
-        save_matrix(m, path)
-        assert main(["check", "--matrix", str(path), "--s-star", "2", "--k", "1"]) == 2
 
 
 class TestExperimentCommand:
@@ -468,6 +480,26 @@ class TestExperimentCommand:
         argv += ["--jobs", "2" if where == "spec" else "0"]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: experiment spec key 'jobs': jobs must be an integer >= 1, got 0 (out of range)\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_jobs_option_checked_where_the_spec_sets_jobs(self, tmp_path, capsys):
+        argv = ["experiment", "--spec", self._spec(tmp_path, jobs=2), "--out-dir", str(tmp_path / "o"), "--jobs", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: jobs must be an integer >= 1, got 0 (out of range)\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("methods", ["hara15", "hara15"], "methods must not repeat an entry, got ['hara15', 'hara15']"),
+            ("N", [50, 50], "sample_sizes must not repeat an entry, got [50, 50]"),
+        ],
+        ids=["methods", "N"],
+    )
+    def test_repeated_spec_entry_names_the_key(self, tmp_path, capsys, key, value, message):
+        spec = self._spec(tmp_path, **{"methods": ["hara15"], "N": [50], key: value})
+        assert main(["experiment", "--spec", spec, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: experiment spec key {key!r}: {message}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text", ["[1, 2]", '"spec"', "null", "3"])

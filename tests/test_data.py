@@ -421,7 +421,7 @@ _WEIGHTS = np.array([[0.5, 0.1, 0.2], [0.1, 0.0, 0.1], [0.2, 0.1, 0.0]])
     [
         (check_conditions, (_WEIGHTS, [0.7]), "s_star"),
         (optimality_margin, (_WEIGHTS, [0.7], 2), "selected"),
-        (recovery_trial, (_WEIGHTS, [0.7], 2, 0.0, 1, 0), "s_star"),
+        (recovery_trial, (_WEIGHTS, [0.7], 0.0, 1, 0), "s_star"),
         (GroundTruth, (frozenset({1.5}),), "changed"),
         (auroc, ([0.1, 0.2, 0.3], [1.5]), "truth"),
         (PerturbationSpec, ("mean_shift", 0.5, (1.7,)), "targets"),

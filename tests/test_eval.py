@@ -14,6 +14,7 @@ from ksdiff import (
     repetition_seed,
     run_experiment,
 )
+from ksdiff.errors import ConfigFieldError
 from ksdiff.evaluate import write_experiment
 
 
@@ -149,6 +150,20 @@ class TestRunner:
         with pytest.raises(DataValidationError, match=field) as exc:
             _tiny_config(**{field: value})
         assert exc.value.field == field
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("methods", ("hara15", "hara15"), "methods must not repeat an entry, got ['hara15', 'hara15']"),
+            ("sample_sizes", (50, 60, 50), "sample_sizes must not repeat an entry, got [50, 60, 50]"),
+        ],
+        ids=["methods", "sample_sizes"],
+    )
+    def test_config_rejects_repeated_entries(self, field, value, message):
+        # a repeated method or size would write the same cell twice
+        with pytest.raises(ConfigFieldError) as exc:
+            _tiny_config(**{field: value})
+        assert exc.value.field == field and str(exc.value) == message
 
     def test_config_keeps_integer_values(self):
         config = _tiny_config(sample_sizes=[np.int64(60)], master_seed=2**64 - 1, jobs=np.int32(2))

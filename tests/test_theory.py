@@ -159,7 +159,7 @@ class TestRecoveryTrial:
     def test_zero_magnitude_always_recovers(self):
         rng = np.random.default_rng(51)
         w, changed = structured_instance(rng, 6, 3)
-        result = recovery_trial(w, changed, 3, magnitude=0.0, trials=20, seed=1)
+        result = recovery_trial(w, changed, magnitude=0.0, trials=20, seed=1)
         assert result.success_rate == 1.0
         assert result.within_guarantee
 
@@ -167,7 +167,7 @@ class TestRecoveryTrial:
         rng = np.random.default_rng(52)
         w, changed = structured_instance(rng, 6, 3)
         margin = optimality_margin(w, changed, 3)
-        result = recovery_trial(w, changed, 3, magnitude=margin / (2 * 9), trials=100, seed=2)
+        result = recovery_trial(w, changed, magnitude=margin / (2 * 9), trials=100, seed=2)
         assert result.within_guarantee
         assert result.success_rate == 1.0
 
@@ -177,14 +177,14 @@ class TestRecoveryTrial:
         h = np.diag([0.0, 0.05, 1.0])
         margin = optimality_margin(h, [2], 2)
         assert margin == pytest.approx(0.95)
-        result = recovery_trial(h, [2], 2, magnitude=10 * margin, trials=200, seed=3)
+        result = recovery_trial(h, [2], magnitude=10 * margin, trials=200, seed=3)
         assert not result.within_guarantee
         assert result.success_rate < 1.0
 
     @pytest.mark.parametrize("magnitude", [math.nan, math.inf])
     def test_non_finite_magnitude_rejected(self, magnitude):
         with pytest.raises(DataValidationError, match="magnitude must be a finite number"):
-            recovery_trial(np.diag([0.0, 0.0, 1.0]), [2], 2, magnitude=magnitude, trials=2, seed=1)
+            recovery_trial(np.diag([0.0, 0.0, 1.0]), [2], magnitude=magnitude, trials=2, seed=1)
 
     @pytest.mark.parametrize(
         "magnitude, error, message",
@@ -197,25 +197,25 @@ class TestRecoveryTrial:
     def test_out_of_range_magnitude_rejected(self, magnitude, error, message):
         # a noise range [-magnitude, magnitude] wider than the float range cannot be drawn
         with pytest.raises(error, match=message):
-            recovery_trial(np.diag([1.0, 0.0, 0.0, 0.0]), [0], 3, magnitude=magnitude, trials=2, seed=0)
+            recovery_trial(np.diag([1.0, 0.0, 0.0, 0.0]), [0], magnitude=magnitude, trials=2, seed=0)
 
     def test_perturbation_whose_sum_overflows_rejected_without_warnings(self):
         # the magnitude is just under half the float range, so the noise draws, but a perturbed sum overflows
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(KsdiffError, match="twice its sum overflows the float range"):
-                recovery_trial(np.diag([1.0, 0, 0, 0]), [0], 3, 8.988465674311579e307, 2, 0)
+                recovery_trial(np.diag([1.0, 0, 0, 0]), [0], 8.988465674311579e307, 2, 0)
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     @pytest.mark.parametrize("seed", [1.5, -1])
     def test_non_integer_or_negative_seed_rejected(self, seed):
         with pytest.raises(DataValidationError, match="seed must be an integer"):
-            recovery_trial(np.diag([0.0, 0.0, 1.0]), [2], 2, magnitude=0.1, trials=2, seed=seed)
+            recovery_trial(np.diag([0.0, 0.0, 1.0]), [2], magnitude=0.1, trials=2, seed=seed)
 
     def test_flags_magnitude_beyond_bound(self):
         rng = np.random.default_rng(53)
         w, changed = structured_instance(rng, 5, 2)
-        result = recovery_trial(w, changed, 2, magnitude=1.0, trials=5, seed=4)
+        result = recovery_trial(w, changed, magnitude=1.0, trials=5, seed=4)
         assert not result.within_guarantee
 
 
