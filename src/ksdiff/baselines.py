@@ -1,10 +1,11 @@
 """Gaussian baseline scorers: trace-objective (MT-style), partitioned-precision
-change scores, and absolute covariance/precision differences.
+change scores, and absolute covariance differences.
 
-All three model both samples as Gaussians. Precision matrices are ridge
-estimates (cov + kappa*I)^-1 with kappa picked from a fixed 11-point
-log-spaced grid in [1e-4, 10] by three-fold cross validation on held-out
-Gaussian log-likelihood. Everything is deterministic given the data: the
+All three model both samples as Gaussians; ``hara15`` compares the plain
+sample covariances. MT and ide09 use ridge precision estimates
+(cov + kappa*I)^-1 with kappa picked from a fixed 11-point log-spaced grid
+in [1e-4, 10] by three-fold cross validation on held-out Gaussian
+log-likelihood. Everything is deterministic given the data: the
 folds are three contiguous blocks of rows, in row order. Each fold inverts
 its whole ridge grid in one stacked call, and MT solves each greedy round's
 candidate blocks in one stacked call; when a stacked call meets a singular
@@ -217,24 +218,18 @@ def ide09_score(p: Dataset, q: Dataset) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def hara15_matrix(p: Dataset, q: Dataset, mode: str = "covariance") -> np.ndarray:
-    """Entrywise absolute difference of the two covariance (or precision) matrices."""
+def hara15_matrix(p: Dataset, q: Dataset) -> np.ndarray:
+    """Entrywise absolute difference of the two covariance matrices."""
     _check_same_columns(p, q)
-    if mode == "covariance":
-        _, a = _mean_cov(p.values)
-        _, b = _mean_cov(q.values)
-    elif mode == "precision":
-        a, _ = estimate_precision_cv(p)
-        b, _ = estimate_precision_cv(q)
-    else:
-        raise DataValidationError(f"unknown mode {mode!r}, expected 'covariance' or 'precision'")
-    # both inputs are exactly symmetric, so their difference is too
+    _, a = _mean_cov(p.values)
+    _, b = _mean_cov(q.values)
+    # both covariances are exactly symmetric, so their difference is too
     diff = np.abs(a - b)
     if not np.all(np.isfinite(diff)):
         raise DataValidationError("method 'hara15' produced non-finite weights: the covariances overflow")
     return diff
 
 
-def hara15_score(p: Dataset, q: Dataset, mode: str = "covariance") -> np.ndarray:
-    """Greedy scoring on the absolute moment-difference matrix."""
-    return greedy_score(hara15_matrix(p, q, mode)).scores
+def hara15_score(p: Dataset, q: Dataset) -> np.ndarray:
+    """Greedy scoring on the absolute covariance-difference matrix."""
+    return greedy_score(hara15_matrix(p, q)).scores

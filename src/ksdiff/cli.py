@@ -22,7 +22,7 @@ from . import evaluate
 from .baselines import hara15_matrix, ide09_score, mt_score
 from .data import _check_same_columns, _finite, _integer, _write_csv, _write_json, load_dataset_csv, save_dataset_csv, standardize
 from .errors import DataValidationError, KsdiffError, SolverLimitError
-from .matrix import ANGLE_POLICIES, build_ks_matrix, load_matrix, save_matrix
+from .matrix import ANGLE_POLICIES, DEFAULT_NUM_ANGLES, build_ks_matrix, load_matrix, save_matrix
 from .solvers import exact_min, greedy_k, greedy_score
 from .synth import PERTURBATION_KINDS, PerturbationSpec, perturb
 from .theory import check_conditions
@@ -169,11 +169,12 @@ _SPEC_FIELDS = {
     "repetitions": "repetitions",
     "master_seed": "master_seed",
     "L": "num_angles",
-    "jobs": "jobs",
 }
 
 
 def _cmd_experiment(args) -> int:
+    # --jobs is the one way to set the worker count; checked before the spec is read
+    jobs = _integer("jobs", args.jobs, 1)
     try:
         with open(args.spec, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -188,11 +189,8 @@ def _cmd_experiment(args) -> int:
     unknown = sorted(raw.keys() - _SPEC_FIELDS.keys())
     if unknown:
         raise KsdiffError(f"experiment spec has unknown keys: {unknown}")
-    # a spec's jobs wins over --jobs, which is still checked
-    if "jobs" in raw:
-        _integer("jobs", args.jobs, 1)
     try:
-        config = evaluate.ExperimentConfig(**{"jobs": args.jobs, **{_SPEC_FIELDS[key]: value for key, value in raw.items()}})
+        config = evaluate.ExperimentConfig(jobs=jobs, **{_SPEC_FIELDS[key]: value for key, value in raw.items()})
     except evaluate.ConfigFieldError as exc:
         key = next(key for key, field in _SPEC_FIELDS.items() if field == exc.field)
         raise KsdiffError(f"experiment spec key {key!r}: {exc}") from None
@@ -213,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--method", choices=evaluate.METHODS, default="proposed")
     select.add_argument("--solver", choices=SOLVERS, default="greedy-score")
     select.add_argument("--k", type=int, default=None, help="complement size for greedy-k/exact")
-    select.add_argument("--L", type=int, default=10, help="projection angles per feature pair")
+    select.add_argument("--L", type=int, default=DEFAULT_NUM_ANGLES, help="projection angles per feature pair")
     select.add_argument("--seed", type=_seed, required=True)
     select.add_argument("--threshold", type=_threshold, default=None)
     select.add_argument("--out", required=True)
@@ -224,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix = sub.add_parser("matrix", help="build and save the pairwise KS matrix")
     matrix.add_argument("--p", required=True)
     matrix.add_argument("--q", required=True)
-    matrix.add_argument("--L", type=int, default=10)
+    matrix.add_argument("--L", type=int, default=DEFAULT_NUM_ANGLES)
     matrix.add_argument("--seed", type=_seed, required=True)
     matrix.add_argument("--policy", choices=ANGLE_POLICIES, default="per-pair")
     matrix.add_argument("--jobs", type=int, default=1)

@@ -18,7 +18,7 @@ import numpy as np
 from .baselines import hara15_score, ide09_score, mt_score
 from .data import _array, _fan_out, _integer, _write_csv, _write_json
 from .errors import ConfigFieldError, DataValidationError
-from .matrix import build_ks_matrix
+from .matrix import DEFAULT_NUM_ANGLES, build_ks_matrix
 from .solvers import greedy_score
 from .synth import GENERATORS, GroundTruth
 
@@ -114,7 +114,7 @@ class ExperimentConfig:
     sample_sizes: tuple[int, ...]
     repetitions: int
     master_seed: int
-    num_angles: int = 10
+    num_angles: int = DEFAULT_NUM_ANGLES
     jobs: int = 1
 
     def __post_init__(self):

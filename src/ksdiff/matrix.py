@@ -26,6 +26,9 @@ from .ks import _angles, _ks_merged, _philox_angles, _project_rows, ks_empirical
 
 ANGLE_POLICIES = ("per-pair", "shared")
 
+# projection angles per feature pair (L) wherever a caller does not choose
+DEFAULT_NUM_ANGLES = 10
+
 # feature pairs are evaluated in groups so one sort call serves many
 # projections while the working set stays cache-sized; grouping never
 # changes values (instances are independent) and depends only on the

@@ -5,9 +5,13 @@ true complement's objective and the best competing complement is positive.
 These helpers evaluate the per-feature necessary and sufficient positivity
 conditions on a matrix, compute that margin by exact enumeration, convert a
 known margin into closed-form sample-size requirements, and stress-test
-recovery under bounded matrix perturbations. A closed-form bivariate-Gaussian KL bound used to
-relate matrix entries to distribution divergence is included as a numeric
-check.
+recovery under bounded matrix perturbations. One check serves every claimed
+changed set S: it names at least one feature and no feature twice, and it
+fixes the complement size ``k = D - |S|``. The margin and the recovery trials
+enumerate complements exactly, so above ``solvers.DEFAULT_EXACT_LIMIT`` (25)
+features they raise ``SolverLimitError``. A closed-form bivariate-Gaussian KL
+bound used to relate matrix entries to distribution divergence is included
+as a numeric check.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .data import _finite, _integer
 from .errors import ConfigFieldError, DataValidationError
-from .solvers import DEFAULT_EXACT_LIMIT, as_weight_matrix, exact_min, optimality_margin
+from .solvers import as_weight_matrix, exact_min, optimality_margin
 
 OMITTED_TERM_NOTE = (
     "second sample-size term is distribution-dependent (density bounds unavailable from data); omitted"
@@ -36,7 +40,7 @@ class ConsistencyReport:
     tolerance: float
     necessary_holds: dict[int, bool]
     sufficient_holds: dict[int, bool]
-    margin: float | None
+    margin: float
 
     @property
     def all_necessary(self) -> bool:
@@ -59,13 +63,17 @@ class ConsistencyReport:
         }
 
 
-def check_conditions(
-    h,
-    s_star,
-    tol: float = 1e-9,
-    compute_margin: bool = True,
-    limit_d: int = DEFAULT_EXACT_LIMIT,
-) -> ConsistencyReport:
+def _claimed_set(s_star, d: int) -> list[int]:
+    """Sorted indices of a claimed changed-feature set that names at least one feature, none twice."""
+    star = sorted(_integer("s_star", i, 0, d - 1) for i in s_star)
+    if not star:
+        raise DataValidationError("changed-feature set must name at least one feature")
+    if len(set(star)) != len(star):
+        raise DataValidationError(f"changed-feature set repeats a feature index: {star}")
+    return star
+
+
+def check_conditions(h, s_star, tol: float = 1e-9) -> ConsistencyReport:
     """Evaluate the identifiability conditions for each claimed changed feature.
 
     For feature d, the necessary condition asks for a positive diagonal entry
@@ -73,15 +81,14 @@ def check_conditions(
     asks for a positive diagonal entry or for the whole row to be positive.
     Positivity is strict inequality against ``tol``, since finite-sample
     matrices are never exactly zero. The margin is the exact minimum over all
-    competing complements of the implied size.
+    competing complements of the implied size, and 0.0 when S names every
+    feature, since no complement competes.
     """
     w = as_weight_matrix(h)
     d = w.shape[0]
     if _finite("tol", tol) < 0:
         raise DataValidationError("tolerance must be nonnegative")
-    star = sorted({_integer("s_star", i, 0, d - 1) for i in s_star})
-    if not star:
-        raise DataValidationError("changed-feature set must name at least one feature")
+    star = _claimed_set(s_star, d)
     k = d - len(star)
     necessary: dict[int, bool] = {}
     sufficient: dict[int, bool] = {}
@@ -90,12 +97,7 @@ def check_conditions(
         off = np.delete(w[feat], feat)
         necessary[feat] = bool(diag_positive or np.any(off > tol))
         sufficient[feat] = bool(diag_positive or np.all(off > tol))
-    margin = None
-    if compute_margin:
-        if 1 <= k <= d - 1:
-            margin = optimality_margin(w, star, k, limit_d=limit_d)
-        else:
-            margin = 0.0  # only one complement of size 0 or D exists
+    margin = optimality_margin(w, star, k) if k else 0.0  # only the empty complement exists at k = 0
     return ConsistencyReport(tuple(star), k, tol, necessary, sufficient, margin)
 
 
@@ -151,14 +153,7 @@ class RecoveryTrialResult:
     within_guarantee: bool
 
 
-def recovery_trial(
-    h,
-    s_star,
-    magnitude: float,
-    trials: int,
-    seed: int,
-    limit_d: int = DEFAULT_EXACT_LIMIT,
-) -> RecoveryTrialResult:
+def recovery_trial(h, s_star, magnitude: float, trials: int, seed: int) -> RecoveryTrialResult:
     """Recovery rate of the exact solver under random bounded perturbations.
 
     The claimed set fixes the complement size, ``k = D - |s_star|``. Each
@@ -177,20 +172,17 @@ def recovery_trial(
         raise DataValidationError("magnitude must be nonnegative")
     if magnitude > sys.float_info.max / 2:  # the noise range [-magnitude, magnitude] must have a finite width
         raise ConfigFieldError("magnitude", f"must be at most half the float range, got {magnitude!r}")
-    star = frozenset(_integer("s_star", i, 0, d - 1) for i in s_star)
+    star = frozenset(_claimed_set(s_star, d))
     k = d - len(star)
-    margin = optimality_margin(w, star, k, limit_d=limit_d)
+    margin = optimality_margin(w, star, k)  # raises when the claim names every feature (k = 0)
     bound = margin / (2.0 * k * k)
-    complement_star = frozenset(range(d)) - star
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     successes = 0
     for _ in range(trials):
         upper = np.triu(rng.uniform(-magnitude, magnitude, size=(d, d)))
         noise = upper + np.triu(upper, 1).T
         perturbed = np.clip(w + noise, 0.0, None)
-        result = exact_min(perturbed, k, limit_d=limit_d)
-        recovered = frozenset(range(d)) - set(result.selected)
-        successes += recovered == complement_star
+        successes += frozenset(exact_min(perturbed, k).selected) == star
     return RecoveryTrialResult(
         success_rate=successes / trials,
         margin=margin,

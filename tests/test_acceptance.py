@@ -233,9 +233,7 @@ def test_criterion_8_worker_count_determinism(tmp_path):
     tables, aggregates, score_rows = [], [], []
     for jobs in (1, 4):
         out_dir = tmp_path / f"exp{jobs}"
-        spec["jobs"] = jobs
-        spec_path.write_text(json.dumps(spec))
-        assert main(["experiment", "--spec", str(spec_path), "--out-dir", str(out_dir)]) == 0
+        assert main(["experiment", "--spec", str(spec_path), "--out-dir", str(out_dir), "--jobs", str(jobs)]) == 0
         tables.append((out_dir / "auroc_vs_N.csv").read_bytes())
         aggregates.append((out_dir / "aggregate.json").read_bytes())
         rows = (out_dir / "report.csv").read_text().splitlines()

@@ -1,5 +1,11 @@
 """The public surface: ``ksdiff.__all__`` is pinned, so adding or removing a
-public name is a deliberate edit here, and every listed name resolves."""
+public name is a deliberate edit here, and every listed name resolves. A few
+signatures are pinned too, so that an option dropped as unused is not added
+back unnoticed."""
+
+import inspect
+
+import pytest
 
 import ksdiff
 
@@ -68,3 +74,16 @@ def test_every_public_name_resolves():
     exec("from ksdiff import *", namespace)
     for name in PUBLIC_NAMES:
         assert getattr(ksdiff, name) is namespace[name]
+
+
+@pytest.mark.parametrize(
+    "name, parameters",
+    [
+        ("check_conditions", ["h", "s_star", "tol"]),
+        ("recovery_trial", ["h", "s_star", "magnitude", "trials", "seed"]),
+        ("hara15_matrix", ["p", "q"]),
+        ("hara15_score", ["p", "q"]),
+    ],
+)
+def test_parameters_are_pinned(name, parameters):
+    assert list(inspect.signature(getattr(ksdiff, name)).parameters) == parameters

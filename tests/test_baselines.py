@@ -168,15 +168,6 @@ class TestHara15:
         assert np.array_equal(m, m.T)
         assert np.all(m >= 0)
 
-    def test_precision_mode(self):
-        rng = np.random.default_rng(13)
-        p = dataset_from_array(rng.normal(size=(200, 3)))
-        q = dataset_from_array(rng.normal(size=(200, 3)))
-        m = hara15_matrix(p, q, mode="precision")
-        assert np.array_equal(m, m.T)
-        with pytest.raises(DataValidationError, match="mode"):
-            hara15_matrix(p, q, mode="nope")
-
     def test_covariance_change_ranked_first_on_large_samples(self):
         hits = 0
         for rep in range(20):

@@ -474,16 +474,29 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("where", ["spec", "option"])
     def test_bad_jobs_names_the_jobs_key(self, tmp_path, capsys, where):
-        spec = self._spec(tmp_path, jobs=0) if where == "spec" else self._spec(tmp_path)
+        # --jobs is the one way to set the worker count; a spec's jobs is an unknown key
+        spec = self._spec(tmp_path, jobs=2) if where == "spec" else self._spec(tmp_path)
         argv = ["experiment", "--spec", spec, "--out-dir", str(tmp_path / "o")]
-        # a spec's jobs wins over --jobs
         argv += ["--jobs", "2" if where == "spec" else "0"]
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: experiment spec key 'jobs': jobs must be an integer >= 1, got 0 (out of range)\n"
+        assert capsys.readouterr().err == {
+            "spec": "error: experiment spec has unknown keys: ['jobs']\n",
+            "option": "error: jobs must be an integer >= 1, got 0 (out of range)\n",
+        }[where]
         assert not (tmp_path / "o").exists()
 
     def test_bad_jobs_option_checked_where_the_spec_sets_jobs(self, tmp_path, capsys):
+        # --jobs is checked before the spec is read, so the spec's unknown key goes unreported
         argv = ["experiment", "--spec", self._spec(tmp_path, jobs=2), "--out-dir", str(tmp_path / "o"), "--jobs", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: jobs must be an integer >= 1, got 0 (out of range)\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ["{not json", '{"generator": "example2"}', "[1, 2]"], ids=["malformed", "missing", "array"])
+    def test_bad_jobs_option_checked_before_the_spec_is_read(self, tmp_path, capsys, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        argv = ["experiment", "--spec", str(path), "--out-dir", str(tmp_path / "o"), "--jobs", "0"]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: jobs must be an integer >= 1, got 0 (out of range)\n"
         assert not (tmp_path / "o").exists()
@@ -515,8 +528,8 @@ class TestExperimentCommand:
         assert main(["experiment", "--spec", spec, "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "error: experiment spec has unknown keys: ['l', 'num_angles', 'reps']\n"
         assert not (tmp_path / "o").exists()
-        # the optional keys are L and jobs
-        spec = self._spec(tmp_path, L=2, jobs=2)
+        # the one optional key is L
+        spec = self._spec(tmp_path, L=2)
         assert main(["experiment", "--spec", spec, "--out-dir", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from ksdiff import (
     DataValidationError,
+    SolverLimitError,
     build_ks_matrix,
     check_conditions,
     exact_min,
@@ -65,10 +67,6 @@ class TestCheckConditions:
         assert not check_conditions(h, [0], tol=0.02).sufficient_holds[0]
         assert check_conditions(h, [0], tol=0.019).sufficient_holds[0]
 
-    def test_margin_can_be_skipped(self):
-        report = check_conditions(np.zeros((4, 4)), [0], compute_margin=False)
-        assert report.margin is None
-
     def test_invalid_feature_set(self):
         with pytest.raises(DataValidationError):
             check_conditions(np.zeros((3, 3)), [5])
@@ -96,11 +94,48 @@ class TestCheckConditions:
     def test_mixture_example_satisfies_conditions_at_scale(self):
         p, q, truth = gen_example2(10_000, 606)
         h = build_ks_matrix(p, q, 10, 606)
-        report = check_conditions(h, sorted(truth.changed), tol=0.02, compute_margin=False)
+        report = check_conditions(h, sorted(truth.changed), tol=0.02)
         assert report.all_sufficient
         # the changed feature's row carries the largest off-diagonal mass
         row_mass = h.entries.sum(axis=1) - np.diag(h.entries)
         assert int(np.argmax(row_mass)) in truth.changed
+
+
+# each theory entry point that takes a claimed changed set, on matrix h
+_CLAIMS = {
+    "check_conditions": lambda h, s_star: check_conditions(h, s_star),
+    "recovery_trial": lambda h, s_star: recovery_trial(h, s_star, magnitude=0.0, trials=1, seed=0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_CLAIMS))
+class TestClaimedSet:
+    @pytest.mark.parametrize(
+        "s_star, message",
+        [
+            ([], "changed-feature set must name at least one feature"),
+            ([2, 2], "changed-feature set repeats a feature index: [2, 2]"),
+            ([1, 2, 0, 2], "changed-feature set repeats a feature index: [0, 1, 2, 2]"),
+        ],
+        ids=["empty", "repeat", "repeat-unsorted"],
+    )
+    def test_empty_or_repeating_set_rejected_alike(self, entry, s_star, message):
+        with pytest.raises(DataValidationError, match="^" + re.escape(message) + "$"):
+            _CLAIMS[entry](np.diag([0.0, 0.0, 1.0]), s_star)
+
+    def test_set_naming_every_feature(self, entry):
+        # k = 0: no complement competes, so the margin is 0.0; recovery_trial's bound divides by k^2
+        h = np.diag([0.0, 0.0, 1.0])
+        if entry == "check_conditions":
+            report = check_conditions(h, [2, 0, 1])
+            assert (report.s_star, report.k, report.margin) == ((0, 1, 2), 0, 0.0)
+        else:
+            with pytest.raises(DataValidationError, match="^no competing complement of the requested size exists$"):
+                _CLAIMS[entry](h, [2, 0, 1])
+
+    def test_past_the_exact_limit_raises(self, entry):
+        with pytest.raises(SolverLimitError, match="^margin enumeration size limit: D=26 exceeds 25$"):
+            _CLAIMS[entry](np.diag([1.0] + [0.0] * 25), [0])
 
 
 class TestSampleBound:
